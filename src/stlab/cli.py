@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config
 from .domain import Domain, DomainError
 from .kernel import duality_kernel, kernel_csv_rows, kernel_set, kernel_summary
 from .measure import MeasureError, total_variation
-from .operator import SolverError, assemble_from_values, solve_truncated_limit
+from .operator import DiscreteOperator, SolverError, cached_operators, solve_truncated_limit
 from .potential import PotentialError, sample
 from .trace import (
     green_identity_residual,
@@ -98,14 +98,13 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     potential = cfg.build_potential()
     measure = cfg.build_measure(domain)
     u, diag = solve_truncated_limit(
-        domain, potential, measure, cfg.build_schedule(),
-        method=cfg.solver_method, solver_tol=cfg.solver_tol,
+        domain, potential, measure, cfg.build_schedule(), **_solver_kwargs(cfg),
     )
     tr = normal_derivative(domain, u, order=cfg.trace_order)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     flux_residual = green_identity_residual(
         domain, u, potential, measure, lambda pts: np.ones(pts.shape[0]),
-        order=cfg.trace_order, operator=assemble_from_values(domain, v_final),
+        order=cfg.trace_order, operator=DiscreteOperator(domain, v_final),
     )
     if "csv" in formats:
         _write_csv(os.path.join(out_dir, "solution.csv"),
@@ -136,7 +135,7 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
     potential = cfg.build_potential()
     kset = kernel_set(
         domain, potential, cfg.sample_indices(domain), cfg.build_schedule(),
-        solver_tol=cfg.solver_tol, method=cfg.solver_method,
+        **_solver_kwargs(cfg),
     )
     if "csv" in formats:
         _write_csv(os.path.join(out_dir, "kernels.csv"),
@@ -148,10 +147,16 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
     return 0
 
 
+def _solver_kwargs(cfg: RunConfig) -> dict:
+    return {"solver_tol": cfg.solver_tol, "method": cfg.solver_method,
+            "max_iter": cfg.solver_max_iter}
+
+
 def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
+    """One check on ``domain``; callers scope an operator cache to the grid."""
     potential = cfg.build_potential()
     schedule = cfg.build_schedule()
-    kwargs = {"solver_tol": cfg.solver_tol, "method": cfg.solver_method}
+    kwargs = _solver_kwargs(cfg)
     if name == "representation":
         return representation_check(
             domain, potential, cfg.build_measure(domain),
@@ -171,8 +176,7 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
     if name == "comparison":
         idx = cfg.sample_indices(domain)
         a = int(idx[0]) if idx is not None else 0
-        v = duality_kernel(domain, potential, a, schedule, solver_tol=cfg.solver_tol,
-                           method=cfg.solver_method)
+        v = duality_kernel(domain, potential, a, schedule, **kwargs)
         return comparison_check(
             domain, potential, v, alpha=cfg.comparison_alpha,
             epsilon=cfg.comparison_epsilon, schedule=schedule, **kwargs,
@@ -186,7 +190,8 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
 
 def run_verify(cfg: RunConfig, out_dir: str, formats) -> int:
     domain = cfg.build_domain()
-    reports = [_run_check(name, cfg, domain) for name in cfg.checks]
+    with cached_operators(domain):
+        reports = [_run_check(name, cfg, domain) for name in cfg.checks]
     if "csv" in formats:
         for report in reports:
             _write_csv(os.path.join(out_dir, f"{report.check}.csv"),
@@ -230,7 +235,8 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int | None) -> int:
     rows = []
     reports = []
     for d in domains:
-        report = _run_check(name, cfg, d)
+        with cached_operators(d):
+            report = _run_check(name, cfg, d)
         reports.append(report)
         rows.append((d.h, _study_level(report), _study_residual(report)))
 

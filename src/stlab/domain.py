@@ -62,6 +62,14 @@ class Domain:
     bface_coefs: np.ndarray
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
+    _operators: dict | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # the stiffness matrix and the operator caches are built from these
+        # arrays; freezing them keeps those caches from going stale
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_interior(self) -> int:
@@ -74,9 +82,6 @@ class Domain:
     def measure(self) -> float:
         """Exact measure of the domain (the volumes tile it)."""
         return float(np.sum(self.volumes))
-
-    def boundary_measure(self) -> float:
-        return float(np.sum(self.surface_weights))
 
     def as_points(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -84,11 +84,6 @@ class KernelSet:
     def kernel(self, a: int) -> Field:
         return Field(self.domain, self.kernels[:, self.index_of(a)].copy())
 
-    def reference_kernel(self, a: int) -> Field:
-        if self.reference is None:
-            raise ValueError("kernel set was built without the zero-potential reference")
-        return Field(self.domain, self.reference[:, self.index_of(a)].copy())
-
     def l1_norms(self) -> np.ndarray:
         return np.abs(self.kernels).T @ self.domain.volumes
 
@@ -97,61 +92,52 @@ class KernelSet:
         quadrature, atoms by multilinear interpolation of the kernel."""
         return self.kernels.T @ load_vector(measure, self.domain)
 
-    def pair_density_values(self, values) -> np.ndarray:
-        f = np.asarray(values, dtype=float)
-        return self.kernels.T @ (f * self.domain.volumes)
-
 
 def schedule_kernel_run(
     solver: ScheduleSolver,
     rhs: np.ndarray,
     stop_early: bool = True,
-) -> tuple[list[np.ndarray], TruncationDiagnostics]:
-    """Solve the adjoint system at each schedule level; one matrix per level run.
+    collect: list | None = None,
+) -> tuple[np.ndarray, TruncationDiagnostics]:
+    """Solve the adjoint system along the schedule; returns the last level's
+    kernels.  ``collect`` receives the kernel array of every level run.
 
     Saturated levels (truncation no longer changes the sampled potential) reuse
     the previous solution: the discrete problem is identical, so recomputing
-    could only add factorization noise.  The solver caches the per-level
-    operators, so callers can retrieve the one matching any reported level.
+    could only add factorization noise.  Without ``stop_early`` the walk runs
+    the whole schedule, past convergence and saturation.
     """
-    levels = solver.schedule.levels()
     vol = solver.domain.volumes
-    mats: list[np.ndarray] = []
+    prev = None
     run, dists = [], []
     scale = None
     monotone = True
     saturated = False
     converged = False
-    for j, level in enumerate(levels):
-        op = solver.operator_at(j)
-        if op is None:
-            saturated = True
-            converged = True
+    for level, P in solver.walk(rhs):
+        if P is None:
+            saturated = converged = True
             if stop_early:
                 break
-            mats.append(mats[-1])
-            run.append(level)
+            P = prev
             dists.append(0.0)
-            continue
-        P = op.solve_load(rhs, method=solver.method, tol=solver.solver_tol)
-        if scale is None:
-            scale = max(float(np.max(np.abs(P))), 1e-300)
-        if mats:
-            prev = mats[-1]
-            if np.any(P > prev + MONOTONE_TOL):
-                monotone = False
-            drop = float(np.max(np.abs(P - prev)))
-            dists.append(float(np.max(np.abs(P - prev).T @ vol)))
-            if drop < KERNEL_STOP_FACTOR * scale:
-                converged = True
-                mats.append(P)
-                run.append(level)
-                if stop_early:
-                    break
-                continue
-        mats.append(P)
+        else:
+            if scale is None:
+                scale = max(float(np.max(np.abs(P))), 1e-300)
+            if prev is not None:
+                if np.any(P > prev + MONOTONE_TOL):
+                    monotone = False
+                diff = np.abs(P - prev)
+                dists.append(float(np.max(diff.T @ vol)))
+                if float(np.max(diff)) < KERNEL_STOP_FACTOR * scale:
+                    converged = True
         run.append(level)
-    return mats, TruncationDiagnostics(
+        if collect is not None:
+            collect.append(P)
+        prev = P
+        if converged and stop_early:
+            break
+    return prev, TruncationDiagnostics(
         levels=tuple(run),
         l1_distances=tuple(dists),
         monotone=monotone,
@@ -159,22 +145,6 @@ def schedule_kernel_run(
         final_level=run[-1],
         saturated=saturated,
     )
-
-
-def kernel_schedule(
-    domain: Domain,
-    potential: Potential,
-    samples=None,
-    schedule: TruncationSchedule | None = None,
-    stop_early: bool = True,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-) -> tuple[list[np.ndarray], TruncationDiagnostics]:
-    """Batched truncation run: list of (n_interior, n_samples) kernel arrays,
-    one per schedule level actually solved, plus diagnostics."""
-    rhs = trace_sources(domain, samples)
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-    return schedule_kernel_run(solver, rhs, stop_early)
 
 
 def kernel_set(
@@ -185,22 +155,22 @@ def kernel_set(
     with_reference: bool = True,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> KernelSet:
     """Duality kernels for the sampled boundary nodes (all nodes by default)."""
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx)
     if potential.is_bounded():
         op = assemble(domain, potential)
-        P = op.solve_load(rhs, method=method, tol=solver_tol)
+        P = op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
     else:
-        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-        mats, _ = schedule_kernel_run(solver, rhs, stop_early=True)
-        P = mats[-1]
+        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
+        P, _ = schedule_kernel_run(solver, rhs)
     if potential.family == "zero":
         ref = P
     elif with_reference:
         ref_op = assemble(domain, zero_potential())
-        ref = ref_op.solve_load(rhs, method=method, tol=solver_tol)
+        ref = ref_op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
     else:
         ref = None
     l1 = np.abs(P).T @ domain.volumes
@@ -226,10 +196,11 @@ def duality_kernel(
     schedule: TruncationSchedule | None = None,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> Field:
     """Kernel of one boundary node; schedule limit when the potential is unbounded."""
     kset = kernel_set(domain, potential, [a], schedule, with_reference=False,
-                      solver_tol=solver_tol, method=method)
+                      solver_tol=solver_tol, method=method, max_iter=max_iter)
     return Field(domain, kset.kernels[:, 0])
 
 
@@ -249,9 +220,9 @@ def truncation_kernels(
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
     the last entry is the schedule limit returned by duality_kernel."""
-    rhs = trace_sources(domain, [a])
     solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-    mats, _ = schedule_kernel_run(solver, rhs, stop_early)
+    mats: list[np.ndarray] = []
+    schedule_kernel_run(solver, trace_sources(domain, [a]), stop_early, collect=mats)
     return [Field(domain, m[:, 0].copy()) for m in mats]
 
 
@@ -262,6 +233,7 @@ def positivity_set(
     threshold: float = 1e-10,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> np.ndarray:
     """Mask of nodes where the unit-density schedule limit stays positive.
 
@@ -270,7 +242,8 @@ def positivity_set(
     """
     source = density_measure(uniform_density(1.0))
     u, _ = solve_truncated_limit(
-        domain, potential, source, schedule, method=method, solver_tol=solver_tol
+        domain, potential, source, schedule,
+        method=method, solver_tol=solver_tol, max_iter=max_iter,
     )
     peak = float(np.max(u.values))
     if peak <= 0.0:

@@ -116,10 +116,6 @@ def density_measure(density: Density) -> Measure:
     return Measure(atoms=(), density=density)
 
 
-def atom_locations(measure: Measure) -> np.ndarray:
-    return np.array([loc for loc, _ in measure.atoms], dtype=float)
-
-
 def _check_atoms_inside(measure: Measure, domain: Domain) -> None:
     for loc, _ in measure.atoms:
         if not bool(domain.contains(np.array(loc))[0]):

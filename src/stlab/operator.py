@@ -17,8 +17,8 @@ relative-residual postcondition.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,6 +129,33 @@ class DiscreteOperator:
             raise SolverError(f"linear solve failed the residual check (relative residual {worst:.3e})")
 
 
+def _operator_for(domain: Domain, v_values: np.ndarray, label: str) -> DiscreteOperator:
+    """Operator of a potential sample; inside ``cached_operators(domain)`` one
+    per distinct sample, so its factorization serves every later solve."""
+    cache = domain._operators
+    if cache is None:
+        return DiscreteOperator(domain, v_values, label)
+    key = np.asarray(v_values, dtype=float).tobytes()
+    if key not in cache:
+        cache[key] = DiscreteOperator(domain, v_values, label)
+    return cache[key]
+
+
+@contextmanager
+def cached_operators(domain: Domain):
+    """Share operators and their LU factors, keyed by the exact potential
+    sample, among all solves on ``domain`` inside the block; dropped on exit.
+
+    Only a grid that several computations solve on gains: on a grid built
+    for one schedule walk the cache would hold factors nobody reuses.
+    """
+    domain._operators = {}
+    try:
+        yield
+    finally:
+        domain._operators = None
+
+
 def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
     """Assemble the operator for a bounded potential.
 
@@ -139,11 +166,7 @@ def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
         raise PotentialError(
             f"potential {potential.label!r} is unbounded; truncate it or use a schedule solve"
         )
-    return DiscreteOperator(domain, sample(potential, domain), potential.label)
-
-
-def assemble_from_values(domain: Domain, values: np.ndarray, label: str = "") -> DiscreteOperator:
-    return DiscreteOperator(domain, values, label)
+    return _operator_for(domain, sample(potential, domain), potential.label)
 
 
 @dataclass(frozen=True)
@@ -157,8 +180,14 @@ class TruncationDiagnostics:
 
 
 class ScheduleSolver:
-    """Shared machinery for truncation-schedule limits: one operator per level,
-    factorizations reused across right-hand sides and repeated solves."""
+    """The truncation-schedule engine: one pass over the levels k of the
+    schedule, solving with min(V, k) at each.
+
+    The walk holds only the current level's operator, so an uncached grid
+    keeps at most one LU factor alive.  Stop rules belong to the consumers,
+    which end the walk by leaving the loop; ``operator`` is then the
+    operator of the last level solved.
+    """
 
     def __init__(
         self,
@@ -167,66 +196,85 @@ class ScheduleSolver:
         schedule: TruncationSchedule | None = None,
         solver_tol: float = DEFAULT_TOL,
         method: str = "auto",
+        max_iter: int | None = None,
     ):
         self.domain = domain
         self.potential = potential
         self.schedule = schedule or TruncationSchedule()
         self.solver_tol = solver_tol
         self.method = method
-        self._full = sample(potential, domain)
-        self._ops: dict[int, DiscreteOperator | None] = {}
+        self.max_iter = max_iter
+        self.operator: DiscreteOperator | None = None
 
-    def operator_at(self, j: int) -> DiscreteOperator | None:
-        """Operator for level j, or None when truncation equals level j-1 (saturated)."""
-        if j not in self._ops:
-            level = self.schedule.levels()[j]
-            vals = np.minimum(self._full, level)
-            if j > 0:
-                prev_level = self.schedule.levels()[j - 1]
-                if np.array_equal(vals, np.minimum(self._full, prev_level)):
-                    self._ops[j] = None
-                    return None
-            self._ops[j] = DiscreteOperator(self.domain, vals, f"min({self.potential.label},{level:g})")
-        return self._ops[j]
+    def walk(self, load: np.ndarray):
+        """Yield (level, solution of K_k u = load) along the schedule.
 
-    def limit(self, load: np.ndarray, stop_tol: float, check_monotone: bool) -> tuple[np.ndarray, TruncationDiagnostics]:
-        """Run the schedule until the L1 distance between iterates drops below stop_tol."""
-        levels = self.schedule.levels()
+        A level whose truncation equals the last solved one is saturated: the
+        discrete problem is unchanged, so it is yielded with solution None,
+        and so is every level after it (the sample lies below all of them).
+        """
+        full = sample(self.potential, self.domain)
         prev = None
-        run_levels, dists = [], []
-        monotone = True if check_monotone else None
-        saturated = False
-        converged = False
-        vol = self.domain.volumes
-        for j, level in enumerate(levels):
-            op = self.operator_at(j)
-            if op is None:
-                saturated = True
-                converged = True
-                dists.append(0.0)
-                run_levels.append(level)
-                break
-            u = op.solve_load(load, method=self.method, tol=self.solver_tol)
-            run_levels.append(level)
-            if prev is not None:
-                dist = float(np.sum(np.abs(u - prev) * vol)) if u.ndim == 1 else float(
-                    np.max(np.sum(np.abs(u - prev) * vol[:, None], axis=0))
-                )
-                dists.append(dist)
-                if check_monotone and np.any(u > prev + 1e-9):
-                    monotone = False
-                if dist < stop_tol:
-                    prev = u
-                    converged = True
-                    break
-            prev = u
-        return prev, TruncationDiagnostics(
-            levels=tuple(run_levels),
-            l1_distances=tuple(dists),
-            monotone=monotone,
-            converged=converged,
-            final_level=run_levels[-1],
-            saturated=saturated,
+        for level in self.schedule.levels():
+            vals = np.minimum(full, level)
+            if prev is not None and np.array_equal(vals, prev):
+                yield level, None
+                continue
+            # rebinding drops the previous level's factor before this one is made
+            self.operator = _operator_for(self.domain, vals, f"min({self.potential.label},{level:g})")
+            yield level, self.operator.solve_load(
+                load, method=self.method, tol=self.solver_tol, max_iter=self.max_iter
+            )
+            prev = vals
+
+
+class _L1Limit:
+    """Stop rule of monotone limits, one per column of the walk's solutions.
+
+    A column stops when the L1 distance between its consecutive iterates
+    drops below ``stop_tol``; a saturated level stops every column and is
+    recorded with distance 0.  The walk ends when no column runs, and each
+    level records the largest distance over the columns still running.
+    """
+
+    def __init__(self, domain: Domain, stop_tol: float, columns: int = 1):
+        self.vol = domain.volumes
+        self.stop_tol = stop_tol
+        self.levels: list = []
+        self.dists: list = []
+        self.u = None  # latest iterate of every column, frozen once it stops
+        self.running = np.ones(columns, dtype=bool)
+        self.monotone = True
+        self.saturated = False
+
+    def step(self, level: float, u: np.ndarray | None) -> bool:
+        """Record one level of the walk; True once the rule ends it."""
+        self.levels.append(level)
+        if u is None:
+            self.saturated = bool(self.running.all())
+            self.running[:] = False
+            self.dists.append(0.0)
+        elif self.u is None:
+            self.u = u
+        else:
+            run = np.flatnonzero(self.running)
+            dist = [float(np.sum(np.abs(u[:, j] - self.u[:, j]) * self.vol)) for j in run]
+            self.dists.append(max(dist))
+            if np.any(u[:, run] > self.u[:, run] + 1e-9):
+                self.monotone = False
+            self.u[:, run] = u[:, run]
+            self.running[run[np.array(dist) < self.stop_tol]] = False
+        return not self.running.any()
+
+    def diagnostics(self) -> TruncationDiagnostics:
+        return TruncationDiagnostics(
+            levels=tuple(self.levels),
+            l1_distances=tuple(self.dists),
+            # the parts of a signed measure are separate columns: no order to report
+            monotone=self.monotone if self.u.shape[1] == 1 else None,
+            converged=not self.running.any(),
+            final_level=self.levels[-1],
+            saturated=self.saturated,
         )
 
 
@@ -253,38 +301,29 @@ def solve_truncated_limit(
     stop_tol: float | None = None,
     method: str = "auto",
     solver_tol: float = DEFAULT_TOL,
+    max_iter: int | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
-    Signed measures are split and the two nonnegative parts solved separately,
-    so the monotonicity diagnostic stays meaningful.  Early stop when the L1
-    distance between consecutive iterates falls below ``stop_tol`` (default
-    1e-8 times the measure's total variation).
+    Signed measures are split and the two nonnegative parts solved as two
+    columns of one walk, each its own monotone limit with its own stop, so
+    every level is factored once.  Early stop when the L1 distance between
+    consecutive iterates falls below ``stop_tol`` (default 1e-8 times the
+    measure's total variation).
     """
     if stop_tol is None:
         tv = total_variation(measure, domain)
         if not np.isfinite(tv):
             raise ValueError("measure has infinite total variation")
         stop_tol = 1e-8 * max(tv, 1.0)
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-    if is_nonnegative(measure, domain):
-        load = load_vector(measure, domain)
-        u, diag = solver.limit(load, stop_tol, check_monotone=True)
-        return Field(domain, u), diag
-    pos, neg = split_signed(measure, domain)
-    u_pos, d_pos = solver.limit(load_vector(pos, domain), stop_tol, check_monotone=True)
-    u_neg, d_neg = solver.limit(load_vector(neg, domain), stop_tol, check_monotone=True)
-    diag = TruncationDiagnostics(
-        levels=d_pos.levels if len(d_pos.levels) >= len(d_neg.levels) else d_neg.levels,
-        l1_distances=tuple(
-            max(a, b) for a, b in zip_longest(d_pos.l1_distances, d_neg.l1_distances, fillvalue=0.0)
-        ),
-        monotone=None,
-        converged=d_pos.converged and d_neg.converged,
-        final_level=max(d_pos.final_level, d_neg.final_level),
-        saturated=d_pos.saturated and d_neg.saturated,
-    )
-    return Field(domain, u_pos - u_neg), diag
+    parts = (measure,) if is_nonnegative(measure, domain) else split_signed(measure, domain)
+    limit = _L1Limit(domain, stop_tol, len(parts))
+    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
+    for level, u in solver.walk(np.column_stack([load_vector(p, domain) for p in parts])):
+        if limit.step(level, u):
+            break
+    u = limit.u[:, 0] if len(parts) == 1 else limit.u[:, 0] - limit.u[:, 1]
+    return Field(domain, u), limit.diagnostics()
 
 
 def energy(domain: Domain, potential: Potential, source: Measure, z) -> float:

@@ -21,7 +21,7 @@ class PotentialError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """family: zero | constant | power_distance | interior_singularity | table | callable | truncated."""
+    """family: zero | constant | power_distance | interior_singularity | table | truncated."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -73,10 +73,6 @@ def table_potential(values, bound: float | None = None) -> Potential:
     if bound is None:
         bound = float(vals.max()) if vals.size else 0.0
     return Potential("table", {"values": vals}, bound=bound, label="table")
-
-
-def callable_potential(rule, bound: float | None = None, label: str = "callable") -> Potential:
-    return Potential("callable", {"rule": rule}, bound=bound, label=label)
 
 
 def truncate(potential: Potential, level: float) -> Potential:
@@ -135,8 +131,6 @@ def _sample_raw(potential: Potential, domain: Domain) -> np.ndarray:
                 f"table potential has {vals.shape[0]} values, domain has {domain.n_interior} nodes"
             )
         return vals.copy()
-    if fam == "callable":
-        return np.asarray(potential.params["rule"](domain.interior_points), dtype=float)
     if fam == "truncated":
         return np.minimum(_sample_raw(potential.params["inner"], domain), potential.params["level"])
     raise PotentialError(f"unknown potential family {fam!r}")

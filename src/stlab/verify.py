@@ -37,6 +37,7 @@ from .measure import (
 from .operator import (
     DEFAULT_TOL,
     ScheduleSolver,
+    _L1Limit,
     assemble,
     energy,
     solve_truncated_limit,
@@ -121,17 +122,6 @@ def _bound_case(name: str, value: float, bound: float, **inputs) -> CheckCase:
                  left=value, right=bound, **inputs)
 
 
-def _final_operator(solver: ScheduleSolver, diag) -> "object":
-    """Operator of the last level the schedule actually solved."""
-    levels = solver.schedule.levels()
-    j = levels.index(diag.final_level)
-    op = solver.operator_at(j)
-    while op is None and j > 0:  # saturated level: the previous operator is identical
-        j -= 1
-        op = solver.operator_at(j)
-    return op
-
-
 def representation_check(
     domain: Domain,
     potential: Potential,
@@ -140,6 +130,7 @@ def representation_check(
     schedule: TruncationSchedule | None = None,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """Trace of the solve versus kernel pairing, one case per sampled boundary node.
 
@@ -152,17 +143,17 @@ def representation_check(
     """
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx)
+    solve_kw = {"method": method, "tol": solver_tol, "max_iter": max_iter}
     if potential.is_bounded():
         op = assemble(domain, potential)
-        kernels = op.solve_load(rhs, method=method, tol=solver_tol)
+        kernels = op.solve_load(rhs, **solve_kw)
         final_level = float(potential.bound)
     else:
-        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-        mats, diag = schedule_kernel_run(solver, rhs, stop_early=True)
-        kernels = mats[-1]
-        op = _final_operator(solver, diag)
+        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
+        kernels, diag = schedule_kernel_run(solver, rhs)
+        op = solver.operator
         final_level = diag.final_level
-    u = Field(domain, op.solve_load(load_vector(measure, domain), method=method, tol=solver_tol))
+    u = Field(domain, op.solve_load(load_vector(measure, domain), **solve_kw))
     tr = normal_derivative(domain, u).values
     paired = kernels.T @ load_vector(measure, domain)
 
@@ -202,6 +193,7 @@ def inequality_suite(
     schedule: TruncationSchedule | None = None,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """Mass-controlled estimate suite with discretization slack (1 + 5h).
 
@@ -214,14 +206,12 @@ def inequality_suite(
     if not np.isfinite(tv):
         raise ValueError("inequality suite needs a finite measure")
     slack = 1.0 + SLACK_RATE * domain.h
-    u, diag = solve_truncated_limit(
-        domain, potential, measure, schedule, method=method, solver_tol=solver_tol
-    )
+    solver_kw = {"solver_tol": solver_tol, "method": method, "max_iter": max_iter}
+    u, diag = solve_truncated_limit(domain, potential, measure, schedule, **solver_kw)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     absorbed = float(np.sum(v_final * np.abs(u.values) * domain.system_weights))
     tr = normal_derivative(domain, u)
-    kset = kernel_set(domain, potential, None, schedule, with_reference=True,
-                      solver_tol=solver_tol, method=method)
+    kset = kernel_set(domain, potential, None, schedule, with_reference=True, **solver_kw)
     pos, neg = split_signed(measure, domain)
     pair_abs = kset.pair_measure(pos) + kset.pair_measure(neg)
     fatou = float(np.sum(domain.surface_weights * pair_abs))
@@ -257,24 +247,18 @@ def _trace_extrema(domain: Domain, u: Field) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _trace_levels(domain: Domain, potential: Potential, measure: Measure,
-                  schedule, solver_tol: float, method: str):
-    """Per-level (level, trace min, trace max) rows plus schedule diagnostics."""
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
-    load = load_vector(measure, domain)
-    tv = total_variation(measure, domain)
-    u, diag = solver.limit(load, stop_tol=1e-8 * max(tv, 1.0), check_monotone=True)
-    # replay the cached operators to record the per-level trace extrema
+def _trace_levels(solver: ScheduleSolver, measure: Measure):
+    """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
+    taken in the walk itself; a saturated level repeats the previous row."""
+    domain = solver.domain
+    limit = _L1Limit(domain, 1e-8 * max(total_variation(measure, domain), 1.0))
     rows = []
-    for j, level in enumerate(diag.levels):
-        op = solver.operator_at(j)
-        if op is None:  # saturated level: identical discrete problem
-            rows.append((float(level), rows[-1][1], rows[-1][2]))
-            continue
-        uj = Field(domain, op.solve_load(load, method=method, tol=solver_tol))
-        lo, hi = _trace_extrema(domain, uj)
-        rows.append((float(level), lo, hi))
-    return Field(domain, u), diag, rows
+    for level, u in solver.walk(load_vector(measure, domain)[:, None]):
+        extrema = rows[-1][1:] if u is None else _trace_extrema(domain, Field(domain, u[:, 0]))
+        rows.append((float(level), *extrema))
+        if limit.step(level, u):
+            break
+    return limit.diagnostics(), rows
 
 
 def hopf_check(
@@ -287,6 +271,7 @@ def hopf_check(
     positivity_threshold: float = 1e-10,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """Boundary positivity of the schedule-limit trace for nonnegative data.
 
@@ -304,8 +289,8 @@ def hopf_check(
         raise ValueError("boundary positivity is stated for nonnegative measures")
 
     mask = positivity_set(
-        domain, potential, schedule,
-        threshold=positivity_threshold, solver_tol=solver_tol, method=method,
+        domain, potential, schedule, threshold=positivity_threshold,
+        solver_tol=solver_tol, method=method, max_iter=max_iter,
     )
     if measure.density is None and measure.atoms:
         outside = []
@@ -328,8 +313,9 @@ def hopf_check(
     table = []
     cases = []
     for g in grids:
-        u, diag, rows = _trace_levels(g, potential, measure, schedule, solver_tol, method)
-        lo, hi = _trace_extrema(g, u)
+        solver = ScheduleSolver(g, potential, schedule, solver_tol, method, max_iter)
+        diag, rows = _trace_levels(solver, measure)
+        _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,
             "resolution": dict(g.resolution),
@@ -381,6 +367,7 @@ def hopf_certificate(
     refinements: int = 2,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """Certificate for boundary positivity: the unit-source zero-potential
     profile must pair integrably with the potential and have strictly positive
@@ -402,7 +389,7 @@ def hopf_certificate(
     theta = None
     for g in grids:
         theta = Field(g, assemble(g, zero_potential()).solve_load(
-            load_vector(source, g), method=method, tol=solver_tol))
+            load_vector(source, g), method=method, tol=solver_tol, max_iter=max_iter))
         history.append(float(np.sum(sample(potential, g) * theta.values * g.volumes)))
     divergent = ladder_diverges(history)
     ratios = [b / a if abs(a) > 0.0 else 1.0 for a, b in zip(history, history[1:])]
@@ -445,6 +432,7 @@ def comparison_check(
     tol: float = 1e-8,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """Lower comparison bound: a nonnegative field dominates the solution whose
     source is the concave clipped power of the field itself, for small enough
@@ -469,7 +457,7 @@ def comparison_check(
 
     zeta, _ = solve_truncated_limit(
         domain, potential, density_measure(table_density(shape)),
-        schedule, method=method, solver_tol=solver_tol,
+        schedule, method=method, solver_tol=solver_tol, max_iter=max_iter,
     )
     zs = zeta.values
     peak = float(np.max(zs))
@@ -522,12 +510,13 @@ def energy_check(
     seed: int = 0,
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
+    max_iter: int | None = None,
 ) -> VerifyReport:
     """The solve minimizes the quadratic energy: random perturbations only
     increase it.  Density sources only."""
     op = assemble(domain, potential)
     load = load_vector(source, domain)
-    u = op.solve_load(load, method=method, tol=solver_tol)
+    u = op.solve_load(load, method=method, tol=solver_tol, max_iter=max_iter)
     base = energy(domain, potential, source, u)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -243,3 +243,19 @@ def test_cli_format_flag_csv_only(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
     assert (out / "solution.csv").exists()
     assert not (out / "solve.json").exists()
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["key", "env"])
+def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, via_env):
+    text = "domain.kind = interval\ndomain.n = 32\nsolver.method = cg\nmeasure.atom = 0.5,1.0\n"
+    if via_env:
+        monkeypatch.setenv("STL_SOLVER_MAX_ITER", "1")
+    else:
+        text += "solver.max_iter = 1\n"
+    cfg = write(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
+    # without the cap the same run converges
+    monkeypatch.delenv("STL_SOLVER_MAX_ITER", raising=False)
+    cfg = write(tmp_path, text.replace("solver.max_iter = 1\n", ""))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -177,3 +177,14 @@ def test_contains():
     d = build_rectangle(8)
     assert d.contains(np.array([0.4, 0.6]))
     assert not d.contains(np.array([1.4, 0.6]))
+
+
+@pytest.mark.parametrize("domain", [build_interval(8), build_disk(8), build_rectangle(8)],
+                         ids=["interval", "disk", "rectangle"])
+def test_domain_arrays_read_only(domain):
+    # the cached stiffness matrix and operator caches are built from these
+    with pytest.raises(ValueError, match="read-only"):
+        domain.volumes[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        domain.face_coefs *= 2.0
+    assert all(not a.flags.writeable for a in vars(domain).values() if isinstance(a, np.ndarray))

@@ -1,0 +1,27 @@
+"""CLI outputs stay byte-identical to the committed golden files.
+
+The files under ``data/golden`` were written by ``stlab verify`` and
+``stlab solve`` on the configs stored beside them.  They pin every digit of
+the deterministic outputs, among them the per-level hopf trace extrema and
+the schedule diagnostics of a saturating, signed solve.
+"""
+
+import os
+
+import pytest
+
+from stlab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+
+
+@pytest.mark.parametrize("command,name", [("verify", "verify_disk"), ("solve", "solve_square")])
+def test_cli_outputs_match_golden(tmp_path, command, name):
+    out = tmp_path / command
+    assert main([command, "--config", os.path.join(GOLDEN, f"{name}.cfg"), "--out", str(out)]) == 0
+    expected_dir = os.path.join(GOLDEN, command)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(expected_dir))
+    for fname in sorted(os.listdir(expected_dir)):
+        with open(os.path.join(expected_dir, fname), "rb") as fh:
+            expected = fh.read()
+        assert (out / fname).read_bytes() == expected, fname
