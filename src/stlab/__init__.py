@@ -15,20 +15,15 @@ from .domain import (
     build_domain,
     build_interval,
     build_rectangle,
-    distance_to_boundary,
-    inward_normal,
 )
 from .fields import BoundaryTrace, Field
 from .measure import (
     Density,
     Measure,
     MeasureError,
-    callable_density,
     density_measure,
-    deposit,
     dirac,
     load_vector,
-    mollify,
     power_distance_density,
     split_signed,
     table_density,
@@ -45,7 +40,6 @@ from .potential import (
     power_distance_potential,
     sample,
     table_potential,
-    truncate,
     weighted_l1,
     zero_potential,
 )
@@ -62,16 +56,13 @@ from .operator import (
 from .trace import (
     green_identity_residual,
     normal_derivative,
-    trace_l1_norm,
     trace_matrix,
 )
 from .kernel import (
     KernelSet,
     duality_kernel,
-    harmonic_kernel,
     kernel_set,
     positivity_set,
-    subsolution_defect,
     truncation_kernels,
 )
 from .verify import (
@@ -114,27 +105,21 @@ __all__ = [
     "build_domain",
     "build_interval",
     "build_rectangle",
-    "callable_density",
     "comparison_check",
     "constant_potential",
     "density_measure",
-    "deposit",
     "dirac",
-    "distance_to_boundary",
     "duality_kernel",
     "energy",
     "energy_check",
     "green_identity_residual",
-    "harmonic_kernel",
     "hopf_certificate",
     "hopf_check",
     "inequality_suite",
     "interior_singularity_potential",
-    "inward_normal",
     "kernel_set",
     "load_config",
     "load_vector",
-    "mollify",
     "normal_derivative",
     "positivity_set",
     "power_distance_density",
@@ -144,13 +129,10 @@ __all__ = [
     "solve_dirichlet",
     "solve_truncated_limit",
     "split_signed",
-    "subsolution_defect",
     "table_density",
     "table_potential",
     "total_variation",
-    "trace_l1_norm",
     "trace_matrix",
-    "truncate",
     "truncation_kernels",
     "uniform_density",
     "weighted_l1",

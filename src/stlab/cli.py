@@ -28,7 +28,6 @@ from .trace import (
     green_identity_residual,
     normal_derivative,
     trace_csv_rows,
-    trace_l1_norm,
 )
 from .verify import (
     VerifyReport,
@@ -116,7 +115,7 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
         _write_json(os.path.join(out_dir, "solve.json"), {
             "config": cfg.echo(),
             "total_variation": total_variation(measure, domain),
-            "trace_l1": trace_l1_norm(tr),
+            "trace_l1": tr.l1_norm(),
             "flux_residual": flux_residual,
             "schedule": {
                 "levels": list(diag.levels),

@@ -79,10 +79,6 @@ class Domain:
     def n_boundary(self) -> int:
         return self.boundary_points.shape[0]
 
-    def measure(self) -> float:
-        """Exact measure of the domain (the volumes tile it)."""
-        return float(np.sum(self.volumes))
-
     def as_points(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[-1] != self.dim:
@@ -98,17 +94,6 @@ class Domain:
             return np.hypot(pts[:, 0], pts[:, 1]) < 1.0
         x, y = pts[:, 0], pts[:, 1]
         return (x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0)
-
-    def distance(self, points) -> np.ndarray:
-        """Exact distance to the boundary; no sign, valid inside the closure."""
-        pts = self.as_points(points)
-        if self.kind == "interval":
-            x = pts[:, 0]
-            return np.minimum(x, 1.0 - x)
-        if self.kind == "disk":
-            return 1.0 - np.hypot(pts[:, 0], pts[:, 1])
-        x, y = pts[:, 0], pts[:, 1]
-        return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
     def interp_weights(self, point) -> tuple[np.ndarray, np.ndarray]:
         """Multilinear deposition weights of an interior point onto interior nodes.
@@ -246,92 +231,48 @@ def build_rectangle(n: int) -> Domain:
     pts = np.column_stack([X.ravel(), Y.ravel()])
     volumes = np.outer(w1d, w1d).ravel()
     dists = np.minimum(np.minimum(pts[:, 0], 1.0 - pts[:, 0]), np.minimum(pts[:, 1], 1.0 - pts[:, 1]))
+    iid = np.arange(m * m).reshape(m, m)  # iid[j - 1, i - 1]: node at (i*h, j*h)
 
-    def iid(i: int, j: int) -> int:  # i, j in 1..n-1 (x index, y index)
-        return (j - 1) * m + (i - 1)
-
-    # boundary: counterclockwise from (0,0); arc length = index * h
-    bpts, normals, corners = [], [], []
-    for i in range(n):  # bottom
-        bpts.append((i * h, 0.0))
-        normals.append((0.0, 1.0))
-        corners.append(i == 0)
-    for j in range(n):  # right
-        bpts.append((1.0, j * h))
-        normals.append((-1.0, 0.0))
-        corners.append(j == 0)
-    for i in range(n):  # top
-        bpts.append(((n - i) * h, 1.0))
-        normals.append((0.0, -1.0))
-        corners.append(i == 0)
-    for j in range(n):  # left
-        bpts.append((0.0, (n - j) * h))
-        normals.append((1.0, 0.0))
-        corners.append(j == 0)
-    bpts = np.array(bpts)
-    normals = np.array(normals, dtype=float)
-    corner_mask = np.array(corners, dtype=bool)
+    # boundary: counterclockwise from (0,0); arc length = index * h.  Each side
+    # holds the nodes k = 0..n-1, corner first; (gx, gy) is a node's position
+    # in units of h.
+    k = np.arange(n)
+    zero, one, up, down = np.zeros(n), np.ones(n), k * h, (n - k) * h
+    bpts = np.concatenate([
+        np.column_stack([up, zero]),  # bottom
+        np.column_stack([one, up]),  # right
+        np.column_stack([down, one]),  # top
+        np.column_stack([zero, down]),  # left
+    ])
+    gx = np.concatenate([k, np.full(n, n), n - k, np.zeros(n, dtype=int)])
+    gy = np.concatenate([np.zeros(n, dtype=int), k, np.full(n, n), n - k])
+    normals = np.repeat(np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]), n, axis=0)
+    corner_mask = np.arange(4 * n) % n == 0
     s = 1.0 / np.sqrt(2.0)
-    normals[0] = (s, s)
-    normals[n] = (-s, s)
-    normals[2 * n] = (-s, -s)
-    normals[3 * n] = (s, -s)
+    normals[corner_mask] = [(s, s), (-s, s), (-s, -s), (s, -s)]
 
-    first = np.zeros(4 * n, dtype=int)
-    second = np.zeros(4 * n, dtype=int)
+    # the first neighbor is the nearest interior node (the diagonal one at a
+    # corner), the second one step further along the (diagonal) normal
+    fx, fy = np.clip(gx, 1, m), np.clip(gy, 1, m)
+    step = np.sign(normals).astype(int)
+    first = iid[fy - 1, fx - 1]
+    second = iid[fy + step[:, 1] - 1, fx + step[:, 0] - 1]
     spacing = np.full(4 * n, h)
-    for b in range(4 * n):
-        if corner_mask[b]:
-            ci, cj = {0: (1, 1), n: (m, 1), 2 * n: (m, m), 3 * n: (1, m)}[b]
-            first[b] = iid(ci, cj)
-            di = 1 if ci == 1 else -1
-            dj = 1 if cj == 1 else -1
-            second[b] = iid(ci + di, cj + dj)
-            spacing[b] = np.sqrt(2.0) * h
-        elif b < n:  # bottom, x = b*h
-            first[b] = iid(b, 1)
-            second[b] = iid(b, 2)
-        elif b < 2 * n:  # right, y = (b-n)*h
-            j = b - n
-            first[b] = iid(m, j)
-            second[b] = iid(m - 1, j)
-        elif b < 3 * n:  # top, x = (n-(b-2n))*h
-            i = n - (b - 2 * n)
-            first[b] = iid(i, m)
-            second[b] = iid(i, m - 1)
-        else:  # left, y = (n-(b-3n))*h
-            j = n - (b - 3 * n)
-            first[b] = iid(1, j)
-            second[b] = iid(2, j)
-    # stencil-matched faces: uniform coefficient 1 (K = h^2 * five-point stencil)
-    fp, fq = [], []
-    for j in range(1, n):
-        for i in range(1, n - 1):
-            fp.append(iid(i, j))
-            fq.append(iid(i + 1, j))
-    for j in range(1, n - 1):
-        for i in range(1, n):
-            fp.append(iid(i, j))
-            fq.append(iid(i, j + 1))
-    faces = np.column_stack([np.array(fp), np.array(fq)])
-    face_coefs = np.ones(len(fp))
+    spacing[corner_mask] = np.sqrt(2.0) * h
+    # stencil-matched faces: uniform coefficient 1 (K = h^2 * five-point stencil);
+    # x-direction faces row by row, then y-direction faces
+    faces = np.column_stack([
+        np.concatenate([iid[:, :-1].ravel(), iid[:-1, :].ravel()]),
+        np.concatenate([iid[:, 1:].ravel(), iid[1:, :].ravel()]),
+    ])
+    face_coefs = np.ones(len(faces))
 
-    bf_int, bf_bnd = [], []
-    for i in range(1, n):  # bottom edge nodes b=i at (ih, 0)
-        bf_int.append(iid(i, 1))
-        bf_bnd.append(i)
-    for j in range(1, n):  # right edge nodes b=n+j at (1, jh)
-        bf_int.append(iid(m, j))
-        bf_bnd.append(n + j)
-    for i in range(1, n):  # top nodes at (ih, 1) have boundary index 3n - i
-        bf_int.append(iid(i, m))
-        bf_bnd.append(3 * n - i)
-    for j in range(1, n):  # left nodes at (0, jh) have boundary index 4n - j
-        bf_int.append(iid(1, j))
-        bf_bnd.append(4 * n - j)
-    bface_interior = np.array(bf_int, dtype=int)
-    bface_boundary = np.array(bf_bnd, dtype=int)
-    bface_coefs = np.ones(len(bf_int))
+    # boundary faces of the non-corner nodes, each side by increasing
+    # coordinate: bottom b=i, right b=n+j, top b=3n-i, left b=4n-j
+    t = np.arange(1, n)
+    bface_interior = np.concatenate([iid[0, :], iid[:, -1], iid[-1, :], iid[:, 0]])
+    bface_boundary = np.concatenate([t, n + t, 3 * n - t, 4 * n - t])
+    bface_coefs = np.ones(len(bface_interior))
 
     return Domain(
         kind="rectangle",
@@ -376,47 +317,37 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
     theta = dtheta * np.arange(ntheta)
     ct, st = np.cos(theta), np.sin(theta)
 
+    radii = dr * np.arange(1, nr)  # ring i sits at radius i*dr, i = 1..nr-1
+    ring = 1 + np.arange((nr - 1) * ntheta).reshape(nr - 1, ntheta)  # ring[i - 1, j]: node at (i*dr, j*dtheta)
+
     pts = np.zeros((ni, 2))
-    volumes = np.zeros(ni)
-    volumes[0] = np.pi * (0.5 * dr) ** 2
-    for ring in range(1, nr):
-        r = ring * dr
-        sl = slice(_disk_index(ring, 0, ntheta), _disk_index(ring, 0, ntheta) + ntheta)
-        pts[sl, 0] = r * ct
-        pts[sl, 1] = r * st
-        if ring < nr - 1:
-            volumes[sl] = r * dr * dtheta
-        else:
-            inner = 1.0 - 1.5 * dr  # outermost interior cell spans [1-1.5dr, 1]
-            volumes[sl] = 0.5 * (1.0 - inner * inner) * dtheta
+    pts[1:, 0] = (radii[:, None] * ct).ravel()
+    pts[1:, 1] = (radii[:, None] * st).ravel()
+    inner = 1.0 - 1.5 * dr  # outermost interior cell spans [1-1.5dr, 1]
+    ring_volumes = radii * dr * dtheta
+    ring_volumes[-1] = 0.5 * (1.0 - inner * inner) * dtheta
+    volumes = np.concatenate([[np.pi * (0.5 * dr) ** 2], np.repeat(ring_volumes, ntheta)])
     dists = 1.0 - np.hypot(pts[:, 0], pts[:, 1])
     dists[0] = 1.0
 
     bpts = np.column_stack([ct, st])
     normals = -bpts
 
-    fp, fq, fc = [], [], []
-    for j in range(ntheta):  # center to innermost ring
-        fp.append(0)
-        fq.append(_disk_index(1, j, ntheta))
-        fc.append((0.5 * dr) * dtheta / dr)
-    for ring in range(1, nr - 1):  # radial faces between rings
-        rf = (ring + 0.5) * dr
-        for j in range(ntheta):
-            fp.append(_disk_index(ring, j, ntheta))
-            fq.append(_disk_index(ring + 1, j, ntheta))
-            fc.append(rf * dtheta / dr)
-    for ring in range(1, nr):  # angular faces within each ring
-        r = ring * dr
-        ext = dr if ring < nr - 1 else 1.5 * dr  # radial extent of the cell
-        for j in range(ntheta):
-            fp.append(_disk_index(ring, j, ntheta))
-            fq.append(_disk_index(ring, j + 1, ntheta))
-            fc.append(ext / (r * dtheta))
-    faces = np.column_stack([np.array(fp), np.array(fq)])
-    face_coefs = np.array(fc)
+    # faces: center to innermost ring, radial faces between rings, angular
+    # faces within each ring
+    ext = np.full(nr - 1, dr)  # radial extent of the cells of each ring
+    ext[-1] = 1.5 * dr
+    faces = np.column_stack([
+        np.concatenate([np.zeros(ntheta, dtype=int), ring[:-1].ravel(), ring.ravel()]),
+        np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()]),
+    ])
+    face_coefs = np.concatenate([
+        np.full(ntheta, (0.5 * dr) * dtheta / dr),
+        np.repeat((np.arange(1, nr - 1) + 0.5) * dr * dtheta / dr, ntheta),
+        np.repeat(ext / (radii * dtheta), ntheta),
+    ])
 
-    bface_interior = np.array([_disk_index(nr - 1, j, ntheta) for j in range(ntheta)], dtype=int)
+    bface_interior = ring[-1]
     bface_boundary = np.arange(ntheta)
     bface_coefs = np.full(ntheta, dtheta / dr)  # boundary face: arc 1*dtheta over spacing dr
 
@@ -434,7 +365,7 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         boundary_coords=theta,
         corner_mask=np.zeros(ntheta, dtype=bool),
         first_neighbor=bface_interior.copy(),
-        second_neighbor=np.array([_disk_index(nr - 2, j, ntheta) for j in range(ntheta)], dtype=int),
+        second_neighbor=ring[-2],
         normal_spacing=np.full(ntheta, dr),
         faces=faces,
         face_coefs=face_coefs,
@@ -457,16 +388,3 @@ def build_domain(kind: str, **resolution) -> Domain:
         return build_rectangle(int(resolution["n"]))
     raise DomainError(f"unknown domain kind {kind!r}")
 
-
-def distance_to_boundary(domain: Domain, point) -> float:
-    """Exact boundary distance of a single interior point."""
-    pts = domain.as_points(point)
-    if not bool(domain.contains(pts)[0]):
-        raise DomainError(f"point {tuple(pts[0])} is outside the {domain.kind}")
-    return float(domain.distance(pts)[0])
-
-
-def inward_normal(domain: Domain, boundary_index: int) -> np.ndarray:
-    if not 0 <= boundary_index < domain.n_boundary:
-        raise DomainError(f"index {boundary_index} is not a boundary node")
-    return domain.inward_normals[boundary_index].copy()

@@ -24,9 +24,6 @@ class Field:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
 
-    def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values) * self.domain.volumes))
-
 
 @dataclass(frozen=True)
 class BoundaryTrace:

@@ -75,15 +75,6 @@ class KernelSet:
     reference: np.ndarray | None
     degenerate: np.ndarray
 
-    def index_of(self, a: int) -> int:
-        hits = np.nonzero(self.samples == a)[0]
-        if hits.size == 0:
-            raise DomainError(f"boundary node {a} is not in this kernel set")
-        return int(hits[0])
-
-    def kernel(self, a: int) -> Field:
-        return Field(self.domain, self.kernels[:, self.index_of(a)].copy())
-
     def l1_norms(self) -> np.ndarray:
         return np.abs(self.kernels).T @ self.domain.volumes
 
@@ -147,6 +138,21 @@ def schedule_kernel_run(
     )
 
 
+def _adjoint_solve(domain: Domain, potential: Potential, rhs: np.ndarray,
+                   schedule: TruncationSchedule | None, solver_tol: float, method: str,
+                   max_iter: int | None) -> tuple[np.ndarray, DiscreteOperator, float]:
+    """Kernels of the adjoint sources ``rhs``: one solve for a bounded
+    potential, the schedule limit otherwise.  Returns the kernels, the
+    operator that produced them and its truncation level."""
+    if potential.is_bounded():
+        op = assemble(domain, potential)
+        P = op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
+        return P, op, float(potential.bound)
+    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
+    P, diag = schedule_kernel_run(solver, rhs)
+    return P, solver.operator, diag.final_level
+
+
 def kernel_set(
     domain: Domain,
     potential: Potential,
@@ -160,12 +166,7 @@ def kernel_set(
     """Duality kernels for the sampled boundary nodes (all nodes by default)."""
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx)
-    if potential.is_bounded():
-        op = assemble(domain, potential)
-        P = op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
-    else:
-        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
-        P, _ = schedule_kernel_run(solver, rhs)
+    P, _, _ = _adjoint_solve(domain, potential, rhs, schedule, solver_tol, method, max_iter)
     if potential.family == "zero":
         ref = P
     elif with_reference:
@@ -202,11 +203,6 @@ def duality_kernel(
     kset = kernel_set(domain, potential, [a], schedule, with_reference=False,
                       solver_tol=solver_tol, method=method, max_iter=max_iter)
     return Field(domain, kset.kernels[:, 0])
-
-
-def harmonic_kernel(domain: Domain, a: int, solver_tol: float = DEFAULT_TOL, method: str = "auto") -> Field:
-    """Zero-potential kernel: the discrete harmonic measure density of node a."""
-    return duality_kernel(domain, zero_potential(), a, solver_tol=solver_tol, method=method)
 
 
 def truncation_kernels(
@@ -249,19 +245,6 @@ def positivity_set(
     if peak <= 0.0:
         return np.zeros(domain.n_interior, dtype=bool)
     return u.values > threshold * peak
-
-
-def subsolution_defect(kset: KernelSet, operator: DiscreteOperator) -> float:
-    """Largest value of (-laplace_h + V) P_a over nodes away from the boundary
-    layer, where the kernels are discrete subsolutions (the adjoint source
-    lives on the boundary-adjacent nodes, which are excluded)."""
-    domain = kset.domain
-    resid = (operator.system @ kset.kernels) / domain.system_weights[:, None]
-    mask = np.ones(domain.n_interior, dtype=bool)
-    mask[domain.first_neighbor] = False
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(resid[mask, :]))
 
 
 def kernel_csv_rows(kset: KernelSet):

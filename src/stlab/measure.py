@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .domain import Domain, DomainError
-from .fields import Field
+from .domain import Domain
 
 
 class MeasureError(ValueError):
@@ -27,8 +25,7 @@ class Density:
     """Pointwise density rule with an integrability tag.
 
     ``family`` selects the evaluation: uniform (value), power_distance
-    (scale / d^alpha), table (explicit node values), callable (rule(points)),
-    sum (pair of densities).
+    (scale / d^alpha), table (explicit node values), sum (pair of densities).
     """
 
     family: str
@@ -50,8 +47,6 @@ class Density:
                     f"table density has {vals.shape[0]} values, domain has {domain.n_interior} nodes"
                 )
             return vals.copy()
-        if self.family == "callable":
-            return np.asarray(self.params["rule"](domain.interior_points), dtype=float)
         if self.family == "sum":
             a, b = self.params["parts"]
             return a.evaluate(domain) + b.evaluate(domain)
@@ -74,10 +69,6 @@ def power_distance_density(alpha: float, scale: float = 1.0) -> Density:
 
 def table_density(values, integrable: bool = True) -> Density:
     return Density("table", {"values": np.asarray(values, dtype=float)}, integrable, "table")
-
-
-def callable_density(rule, integrable: bool = True, label: str = "callable") -> Density:
-    return Density("callable", {"rule": rule}, integrable, label)
 
 
 @dataclass(frozen=True)
@@ -179,78 +170,3 @@ def load_vector(measure: Measure, domain: Domain) -> np.ndarray:
         load += measure.density.evaluate(domain) * domain.volumes
     return load
 
-
-def deposit(measure: Measure, domain: Domain) -> np.ndarray:
-    """Pointwise right-hand side values: load divided by cell volumes.
-
-    The discrete integral sum(deposit * volumes) equals the measure's mass
-    exactly for atoms and by quadrature for densities.
-    """
-    return load_vector(measure, domain) / domain.volumes
-
-
-def _bump(dist2: np.ndarray, radius: float) -> np.ndarray:
-    # smooth bump exp(-1/(1-(|z|/radius)^2)) supported in |z| < radius
-    t = dist2 / (radius * radius)
-    out = np.zeros_like(t)
-    inside = t < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside]))
-    return out
-
-
-def mollify(measure: Measure, k: int, domain: Domain) -> Field:
-    """Smooth the measure with the radial bump of support radius 1/k.
-
-    The bump is normalized numerically per source location, so the grid
-    integral of the result equals the measure's mass exactly.  Requires
-    1/k smaller than every atom's boundary distance.
-    """
-    if k <= 0:
-        raise MeasureError("mollification parameter k must be positive")
-    radius = 1.0 / k
-    for loc, _ in measure.atoms:
-        if distance_of(domain, loc) <= radius:
-            raise MeasureError(
-                f"atom at {loc} is closer to the boundary than the mollifier radius 1/{k}"
-            )
-    pts = domain.interior_points
-    tree = cKDTree(pts)
-    out = np.zeros(domain.n_interior)
-    for loc, w in measure.atoms:
-        loc = np.asarray(loc, dtype=float)
-        idx = np.array(tree.query_ball_point(loc, radius), dtype=int)
-        if idx.size == 0:
-            nearest = int(tree.query(loc)[1])
-            out[nearest] += w / domain.volumes[nearest]
-            continue
-        d2 = np.sum((pts[idx] - loc) ** 2, axis=1)
-        vals = _bump(d2, radius)
-        mass = float(np.sum(vals * domain.volumes[idx]))
-        if mass <= 0.0:
-            nearest = int(tree.query(loc)[1])
-            out[nearest] += w / domain.volumes[nearest]
-            continue
-        out[idx] += (w / mass) * vals
-    if measure.density is not None:
-        f = measure.density.evaluate(domain)
-        src = np.nonzero(f != 0.0)[0]
-        for j in src:
-            idx = np.array(tree.query_ball_point(pts[j], radius), dtype=int)
-            if idx.size == 0:
-                out[j] += f[j]
-                continue
-            d2 = np.sum((pts[idx] - pts[j]) ** 2, axis=1)
-            vals = _bump(d2, radius)
-            mass = float(np.sum(vals * domain.volumes[idx]))
-            if mass <= 0.0:
-                out[j] += f[j]
-                continue
-            out[idx] += (f[j] * domain.volumes[j] / mass) * vals
-    return Field(domain, out)
-
-
-def distance_of(domain: Domain, loc) -> float:
-    pts = domain.as_points(np.asarray(loc, dtype=float))
-    if not bool(domain.contains(pts)[0]):
-        raise DomainError(f"point {tuple(pts[0])} is outside the {domain.kind}")
-    return float(domain.distance(pts)[0])

@@ -3,11 +3,10 @@
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
 difference coefficients of the grid plus ``diag(V * system_weights)``, and the
 load vector holds cell integrals of the measure.  On the interval and the
-square K is ``h^dim`` times the standard 3/5-point stencil matrix (which is
-what ``DiscreteOperator.matrix`` exposes there); on the disk K itself is the
-symmetric flux-form polar operator.  Either way K is symmetric positive
-definite, the discrete maximum principle holds, and the adjoint solve used by
-duality kernels is a plain solve with K.
+square K is ``h^dim`` times the standard 3/5-point stencil matrix; on the
+disk K itself is the symmetric flux-form polar operator.  Either way K is
+symmetric positive definite, the discrete maximum principle holds, and the
+adjoint solve used by duality kernels is a plain solve with K.
 
 Solves default to a cached sparse LU factorization (one factorization serves
 every right-hand side, which kernel sets rely on); conjugate gradients with a
@@ -27,7 +26,7 @@ import scipy.sparse.linalg as spla
 from .domain import Domain
 from .fields import Field
 from .measure import Measure, is_nonnegative, load_vector, split_signed, total_variation
-from .potential import Potential, PotentialError, TruncationSchedule, sample, truncate
+from .potential import Potential, PotentialError, TruncationSchedule, sample
 
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
@@ -69,18 +68,6 @@ class DiscreteOperator:
         self.label = label
         self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
         self._lu = None
-
-    @property
-    def matrix(self) -> sp.csc_matrix:
-        """Spec-facing symmetric matrix: the pointwise stencil on interval and
-        rectangle (diag 2/h^2 resp. 4/h^2 for V=0), the flux form on the disk."""
-        if self.domain.kind == "disk":
-            return self.system
-        return self.system / (self.domain.h ** self.domain.dim)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise application (-laplace_h + V) u."""
-        return (self.system @ np.asarray(u, dtype=float)) / self.domain.system_weights
 
     def solve_load(
         self,

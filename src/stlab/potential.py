@@ -1,4 +1,4 @@
-"""Nonnegative potentials: named families, truncation, weighted boundary-distance norm.
+"""Nonnegative potentials: named families, truncation schedules, weighted boundary-distance norm.
 
 The weighted L1 norm integrates V(x) * dist(x, boundary) over the domain and is
 the practical certificate input: a convergent refinement ladder certifies the
@@ -21,7 +21,7 @@ class PotentialError(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """family: zero | constant | power_distance | interior_singularity | table | truncated."""
+    """family: zero | constant | power_distance | interior_singularity | table."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -75,26 +75,6 @@ def table_potential(values, bound: float | None = None) -> Potential:
     return Potential("table", {"values": vals}, bound=bound, label="table")
 
 
-def truncate(potential: Potential, level: float) -> Potential:
-    """min(V, level); truncating a truncation merges the levels."""
-    level = float(level)
-    if level < 0.0:
-        raise PotentialError("truncation level must be nonnegative")
-    if potential.family == "truncated":
-        inner = potential.params["inner"]
-        merged = min(float(potential.params["level"]), level)
-        return truncate(inner, merged)
-    if potential.bound is not None and potential.bound <= level:
-        return potential  # truncation above the bound changes nothing
-    bound = level if potential.bound is None else min(potential.bound, level)
-    return Potential(
-        "truncated",
-        {"inner": potential, "level": level},
-        bound=bound,
-        label=f"min({potential.label}, {level:g})",
-    )
-
-
 def sample(potential: Potential, domain: Domain) -> np.ndarray:
     """Node values of the potential; raises if any node value is not finite."""
     vals = _sample_raw(potential, domain)
@@ -131,8 +111,6 @@ def _sample_raw(potential: Potential, domain: Domain) -> np.ndarray:
                 f"table potential has {vals.shape[0]} values, domain has {domain.n_interior} nodes"
             )
         return vals.copy()
-    if fam == "truncated":
-        return np.minimum(_sample_raw(potential.params["inner"], domain), potential.params["level"])
     raise PotentialError(f"unknown potential family {fam!r}")
 
 

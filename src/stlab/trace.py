@@ -44,10 +44,6 @@ def normal_derivative(domain: Domain, u: Field, order: int = 1) -> BoundaryTrace
     return BoundaryTrace(domain, trace_matrix(domain, order) @ u.values)
 
 
-def trace_l1_norm(trace: BoundaryTrace) -> float:
-    return trace.l1_norm()
-
-
 def _phi_values(phi, points: np.ndarray) -> np.ndarray:
     vals = phi(points)
     vals = np.asarray(vals, dtype=float)

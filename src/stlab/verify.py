@@ -18,10 +18,10 @@ import numpy as np
 from .domain import Domain
 from .fields import Field
 from .kernel import (
+    _adjoint_solve,
     kernel_set,
     positivity_set,
     resolve_samples,
-    schedule_kernel_run,
     trace_sources,
 )
 from .measure import (
@@ -43,7 +43,7 @@ from .operator import (
     solve_truncated_limit,
 )
 from .potential import Potential, TruncationSchedule, sample, weighted_l1, zero_potential
-from .trace import normal_derivative, trace_l1_norm
+from .trace import normal_derivative
 
 SLACK_RATE = 5.0  # discretization slack factor (1 + SLACK_RATE * h) on the estimates
 
@@ -134,32 +134,24 @@ def representation_check(
 ) -> VerifyReport:
     """Trace of the solve versus kernel pairing, one case per sampled boundary node.
 
-    Both sides are evaluated with the same truncation level, so for measures
-    without atoms the identity is algebraic and the tolerance is
-    10 * solver_tol * max(1, total variation).  Measures with atoms are the
-    continuum branch: the residual is recorded per grid (tolerance infinite
-    here) and is expected to shrink under refinement, which refinement studies
-    assert.
+    Both sides are evaluated with the same operator, and atoms are deposited
+    into the solve and interpolated from the kernels with the same multilinear
+    weights, so the identity is algebraic for every measure, atoms included:
+    the tolerance is 10 * solver_tol * max(1, total variation).
+    ``details["branch"]`` records whether the measure has atoms ("continuum")
+    or not ("grid_density"); it does not change the tolerance.
     """
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx)
-    solve_kw = {"method": method, "tol": solver_tol, "max_iter": max_iter}
-    if potential.is_bounded():
-        op = assemble(domain, potential)
-        kernels = op.solve_load(rhs, **solve_kw)
-        final_level = float(potential.bound)
-    else:
-        solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
-        kernels, diag = schedule_kernel_run(solver, rhs)
-        op = solver.operator
-        final_level = diag.final_level
-    u = Field(domain, op.solve_load(load_vector(measure, domain), **solve_kw))
+    kernels, op, final_level = _adjoint_solve(
+        domain, potential, rhs, schedule, solver_tol, method, max_iter)
+    load = load_vector(measure, domain)
+    u = Field(domain, op.solve_load(load, method=method, tol=solver_tol, max_iter=max_iter))
     tr = normal_derivative(domain, u).values
-    paired = kernels.T @ load_vector(measure, domain)
+    paired = kernels.T @ load
 
-    atomic = bool(measure.atoms)
     tv = total_variation(measure, domain)
-    tol = float("inf") if atomic else 10.0 * solver_tol * max(1.0, tv)
+    tol = 10.0 * solver_tol * max(1.0, tv)
     cases = []
     for col, a in enumerate(idx):
         left = float(tr[a])
@@ -178,7 +170,7 @@ def representation_check(
         cases=tuple(cases),
         table=(RefinementRow(h=domain.h, level=final_level, residual=worst),),
         details={
-            "branch": "continuum" if atomic else "grid_density",
+            "branch": "continuum" if measure.atoms else "grid_density",
             "final_level": final_level,
             "total_variation": tv,
             "max_residual": worst,
@@ -220,7 +212,7 @@ def inequality_suite(
 
     cases = (
         _bound_case("absorption_l1", absorbed, tv * slack, total_variation=tv),
-        _bound_case("trace_l1", trace_l1_norm(tr), 2.0 * tv * slack, total_variation=tv),
+        _bound_case("trace_l1", tr.l1_norm(), 2.0 * tv * slack, total_variation=tv),
         _bound_case("fatou_boundary", fatou, 2.0 * tv * slack, total_variation=tv),
         _case("kernel_upper", max(upper_excess, 0.0), 1e-8,
               left=upper_excess, right=1e-8),

@@ -1,11 +1,13 @@
 """Grid construction: volumes, surface weights, normals, distances."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from stlab import build_domain, build_interval, build_disk, build_rectangle
-from stlab.domain import DomainError, distance_to_boundary, inward_normal
+from stlab.domain import DomainError
 
 
 def test_interval_counts():
@@ -89,28 +91,35 @@ def test_disk_distance_field_exact():
     assert np.all(d.distances > 0)
 
 
+def _node_at(d, point):
+    return int(np.argmin(np.sum((d.interior_points - point) ** 2, axis=1)))
+
+
 def test_distance_to_boundary_values():
-    assert distance_to_boundary(build_interval(16), [0.3]) == pytest.approx(0.3)
-    assert distance_to_boundary(build_disk(8), [0.5, 0.0]) == pytest.approx(0.5)
-    assert distance_to_boundary(build_rectangle(12), [0.5, 0.5]) == pytest.approx(0.5)
+    for d, point, expected in [
+        (build_interval(10), [0.3], 0.3),
+        (build_disk(8), [0.5, 0.0], 0.5),
+        (build_rectangle(12), [0.5, 0.5], 0.5),
+    ]:
+        i = _node_at(d, point)
+        np.testing.assert_allclose(d.interior_points[i], point, atol=1e-14)
+        assert d.distances[i] == pytest.approx(expected)
 
 
 def test_distance_rejects_exterior_point():
-    with pytest.raises(DomainError):
-        distance_to_boundary(build_interval(16), [1.5])
-    with pytest.raises(DomainError):
-        distance_to_boundary(build_disk(8), [1.2, 0.0])
+    for d, point in [(build_interval(16), [1.5]), (build_disk(8), [1.2, 0.0])]:
+        assert not d.contains(point)[0]
+        with pytest.raises(DomainError):
+            d.interp_weights(point)
 
 
 def test_inward_normal_directions():
     d = build_interval(16)
-    np.testing.assert_allclose(inward_normal(d, 0), [1.0])
-    np.testing.assert_allclose(inward_normal(d, 1), [-1.0])
+    np.testing.assert_allclose(d.inward_normals[0], [1.0])
+    np.testing.assert_allclose(d.inward_normals[1], [-1.0])
     dd = build_disk(8)
     for b in (0, 5, 17):
-        np.testing.assert_allclose(inward_normal(dd, b), -dd.boundary_points[b], atol=1e-12)
-    with pytest.raises(DomainError):
-        inward_normal(d, 5)
+        np.testing.assert_allclose(dd.inward_normals[b], -dd.boundary_points[b], atol=1e-12)
 
 
 def test_build_domain_dispatch_and_errors():
@@ -188,3 +197,41 @@ def test_domain_arrays_read_only(domain):
     with pytest.raises(ValueError, match="read-only"):
         domain.face_coefs *= 2.0
     assert all(not a.flags.writeable for a in vars(domain).values() if isinstance(a, np.ndarray))
+
+
+def _domain_digest(domain):
+    h = hashlib.sha256(repr((domain.kind, domain.h, domain.resolution)).encode())
+    for name, value in vars(domain).items():
+        if isinstance(value, np.ndarray):
+            h.update(f"{name}:{value.shape}:{value.dtype.str}:".encode())
+            h.update(value.tobytes())
+    return h.hexdigest()
+
+
+# Digests of every Domain array (bytes, shape, dtype, field order) as built
+# by the per-node loop builders these replaced.  The stiffness matrix sums
+# duplicate faces in input order, so even a reordered face list would move
+# the solves at roundoff.  The disk values depend on numpy's cos/sin.
+BUILDER_DIGESTS = [
+    (build_interval, (4,), "5a4056d63aec3e971cba747fe7939813debe832300ee19d8f5469d4a1284a7da"),
+    (build_interval, (17,), "f98b3f647734b8c538881c5f5ff04284ee68a20cdddcd9e2bb5cabf650aad4a2"),
+    (build_interval, (64,), "8dd7a42d74a86a6f3385b3cc57efe549b5401e6d145f1b6e3b681bdfa05fdef9"),
+    (build_rectangle, (4,), "41ff72a43f808133a943a9a6adfbda30a21ec936e88054444891e8baf1dcca22"),
+    (build_rectangle, (7,), "41e47c229aa4350342c9b2f28c4758fd26a37834a1a308822c7aebe7b1d9f5e3"),
+    (build_rectangle, (16,), "06b71ff04a8313aea65b8a77d6acc4adf1536c78e51c08479e799fa4b347d033"),
+    (build_rectangle, (49,), "992a3a40d4a39248612ee741f6cd6025e29e904918c363e5f43c822c890455e7"),
+    (build_disk, (4,), "2009cc4ad6ec84c416e51d7386d199389090e56412496aa9147b27ef2f81a805"),
+    (build_disk, (9,), "5e69cb65e37029643946b8a3442c89bcec63096e16ae1f405e3489a627d27134"),
+    (build_disk, (16,), "eac39a8f0c2dc01bf2ffbb865259a7ae0c4cfaa6f692935005ce0e774daeeaea"),
+    (build_disk, (8, 12), "8d9def2be536f16a4cdc32467470b76fb926ca0d912aeee13f5d00db5e629476"),
+    (build_disk, (6, 5), "b974d0321caf6e8ba01c6fd8c4d0f2d57f020ffd4f4017b15d08eef54302060f"),
+    (build_disk, (32,), "0d7f75cd487ceed37e81af42a31421cba1d8dc9ee612880dd03cfa2ca78349a6"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,args,digest", BUILDER_DIGESTS,
+    ids=[f"{b.__name__}{a}" for b, a, _ in BUILDER_DIGESTS],
+)
+def test_builder_arrays_are_pinned(builder, args, digest):
+    assert _domain_digest(builder(*args)) == digest

@@ -14,7 +14,6 @@ from stlab import (
     density_measure,
     dirac,
     duality_kernel,
-    harmonic_kernel,
     interior_singularity_potential,
     kernel_set,
     normal_derivative,
@@ -25,7 +24,7 @@ from stlab import (
     truncation_kernels,
     zero_potential,
 )
-from stlab.kernel import kernel_csv_rows, kernel_summary, subsolution_defect
+from stlab.kernel import kernel_csv_rows, kernel_summary
 from stlab.measure import load_vector
 
 
@@ -42,7 +41,7 @@ def test_disk_kernel_center_value():
     # the Poisson kernel at the center is 1/(2 pi) for every boundary point
     d = build_disk(12)
     for a in (0, 7, 31):
-        k = harmonic_kernel(d, a)
+        k = duality_kernel(d, zero_potential(), a)
         assert k.values[0] == pytest.approx(1 / (2 * np.pi), abs=1e-10)
         assert np.all(k.values >= -1e-12)
 
@@ -51,7 +50,7 @@ def test_disk_kernel_matches_poisson_formula():
     # P_a(x) = (1 - |x|^2) / (2 pi |x - a|^2) away from the boundary layer
     d = build_disk(24)
     a = 0
-    k = harmonic_kernel(d, a)
+    k = duality_kernel(d, zero_potential(), a)
     pts = d.interior_points
     r = np.linalg.norm(pts, axis=1)
     inner = r < 0.7
@@ -62,7 +61,7 @@ def test_disk_kernel_matches_poisson_formula():
 
 
 def test_absorption_lowers_kernel(interval64):
-    k = harmonic_kernel(interval64, 0)
+    k = duality_kernel(interval64, zero_potential(), 0)
     p = duality_kernel(interval64, constant_potential(50.0), 0)
     assert np.all(p.values <= k.values + 1e-10)
     assert p.values.max() < k.values.max()
@@ -200,9 +199,7 @@ def test_kernel_set_bundle(interval64):
     assert ks.kernels.shape == (interval64.n_interior, 2)
     assert ks.reference is not None
     assert not any(ks.degenerate)
-    np.testing.assert_allclose(
-        ks.kernel(0).values, ks.kernels[:, ks.index_of(0)], atol=0,
-    )
+    np.testing.assert_array_equal(ks.samples, [0, 1])
     l1 = ks.l1_norms()
     assert np.all(l1 > 0)
     rows = list(kernel_csv_rows(ks))
@@ -230,7 +227,12 @@ def test_kernels_are_discrete_subsolutions(interval64):
     pot = constant_potential(3.0)
     ks = kernel_set(interval64, pot, with_reference=False)
     op = assemble(interval64, pot)
-    assert subsolution_defect(ks, op) <= 1e-10
+    # (-laplace_h + V) P_a <= 0 away from the boundary-adjacent nodes, where
+    # the adjoint source lives
+    resid = (op.system @ ks.kernels) / interval64.system_weights[:, None]
+    away = np.ones(interval64.n_interior, dtype=bool)
+    away[interval64.first_neighbor] = False
+    assert np.max(resid[away]) <= 1e-10
 
 
 def test_disk_kernel_reflection_symmetry():

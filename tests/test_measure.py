@@ -1,4 +1,4 @@
-"""Measures: total variation, deposition, mollification, splitting."""
+"""Measures: total variation, deposition, splitting."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from stlab import (
     Measure,
     build_interval,
-    callable_density,
     density_measure,
     dirac,
     power_distance_density,
@@ -17,10 +16,8 @@ from stlab import (
 )
 from stlab.measure import (
     MeasureError,
-    deposit,
     is_nonnegative,
     load_vector,
-    mollify,
     split_signed,
 )
 
@@ -60,19 +57,19 @@ def test_atom_must_be_interior(interval64):
 def test_deposit_atom_on_node(interval64):
     d = interval64
     x = d.interior_points[10]
-    rhs = deposit(dirac(x, 1.0), d)
+    load = load_vector(dirac(x, 1.0), d)
     expected = np.zeros(d.n_interior)
-    expected[10] = 1.0 / d.volumes[10]
-    np.testing.assert_allclose(rhs, expected, atol=1e-12)
+    expected[10] = 1.0
+    np.testing.assert_allclose(load, expected, atol=1e-12)
 
 
 def test_deposit_atom_midway_splits_evenly(interval64):
     d = interval64
     x = d.interior_points[10, 0] + d.h / 2
-    rhs = deposit(dirac([x], 1.0), d)
-    nz = np.nonzero(rhs)[0]
+    load = load_vector(dirac([x], 1.0), d)
+    nz = np.nonzero(load)[0]
     np.testing.assert_array_equal(nz, [10, 11])
-    np.testing.assert_allclose(rhs[nz] * d.volumes[nz], [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(load[nz], [0.5, 0.5], atol=1e-12)
 
 
 @given(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=-3, max_value=3))
@@ -99,34 +96,6 @@ def test_load_is_additive(interval64):
     )
 
 
-def test_mollify_preserves_mass_and_support(interval64):
-    d = interval64
-    rho = mollify(dirac([0.5], 1.0), 8, d)
-    mass = float(np.sum(rho.values * d.volumes))
-    assert mass == pytest.approx(1.0, abs=1e-10)
-    x = d.interior_points[:, 0]
-    outside = np.abs(x - 0.5) > 1 / 8 + d.h
-    assert np.all(rho.values[outside] == 0)
-
-
-def test_mollify_zero_measure_is_zero(interval64):
-    rho = mollify(Measure(), 8, interval64)
-    assert np.all(rho.values == 0)
-
-
-def test_mollify_radius_must_clear_boundary(interval64):
-    with pytest.raises(MeasureError):
-        mollify(dirac([0.05]), 10, interval64)
-
-
-def test_mollified_uniform_density_approaches_one(interval64):
-    d = interval64
-    rho = mollify(density_measure(uniform_density(1.0)), 64, d)
-    x = d.interior_points[:, 0]
-    inner = (x > 0.2) & (x < 0.8)
-    np.testing.assert_allclose(rho.values[inner], 1.0, atol=0.05)
-
-
 def test_split_signed(interval64):
     d = interval64
     m = dirac([0.25], 2.0) + dirac([0.75], -3.0)
@@ -151,10 +120,3 @@ def test_table_density_shape_check(interval64):
     with pytest.raises(MeasureError):
         load_vector(density_measure(table_density(np.ones(5))), interval64)
 
-
-def test_callable_density_sampled_at_nodes(interval64):
-    d = interval64
-    m = density_measure(callable_density(lambda p: p[..., 0] ** 2))
-    lv = load_vector(m, d)
-    x = d.interior_points[:, 0]
-    np.testing.assert_allclose(lv, x ** 2 * d.volumes, atol=1e-14)

@@ -29,7 +29,7 @@ from stlab.potential import PotentialError
 
 def test_assemble_1d_stencil():
     d = build_interval(4)
-    m = assemble(d, zero_potential()).matrix.toarray()
+    m = assemble(d, zero_potential()).system.toarray() / d.h ** d.dim
     h2 = d.h ** 2
     expected = (np.diag([2.0] * 3) + np.diag([-1.0] * 2, 1) + np.diag([-1.0] * 2, -1)) / h2
     np.testing.assert_allclose(m, expected, atol=1e-12)
@@ -37,14 +37,14 @@ def test_assemble_1d_stencil():
 
 def test_assemble_constant_shifts_diagonal():
     d = build_interval(4)
-    m0 = assemble(d, zero_potential()).matrix.toarray()
-    mc = assemble(d, constant_potential(3.0)).matrix.toarray()
+    m0 = assemble(d, zero_potential()).system.toarray() / d.h ** d.dim
+    mc = assemble(d, constant_potential(3.0)).system.toarray() / d.h ** d.dim
     np.testing.assert_allclose(mc - m0, 3.0 * np.eye(3), atol=1e-12)
 
 
 def test_apply_zero_field(interval64):
     op = assemble(interval64, constant_potential(1.0))
-    np.testing.assert_allclose(op.apply(np.zeros(interval64.n_interior)), 0.0)
+    np.testing.assert_allclose(op.system @ np.zeros(interval64.n_interior), 0.0)
 
 
 def test_assemble_rejects_unbounded(interval64):

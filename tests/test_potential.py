@@ -11,10 +11,11 @@ from stlab import (
     interior_singularity_potential,
     power_distance_potential,
     sample,
-    truncate,
+    table_potential,
     weighted_l1,
     zero_potential,
 )
+from stlab.operator import ScheduleSolver
 from stlab.potential import PotentialError, ladder_diverges
 
 
@@ -31,22 +32,27 @@ def test_sample_inverse_distance():
 
 
 def test_truncate_caps_values():
+    # the schedule solves level k with min(V, k)
     d = build_interval(10)
-    v = sample(truncate(power_distance_potential(1.0), 4.0), d)
+    solver = ScheduleSolver(d, power_distance_potential(1.0), TruncationSchedule(J=2))
+    levels = [level for level, _ in solver.walk(np.ones(d.n_interior))]
+    assert levels == [1.0, 2.0, 4.0]
+    v = solver.operator.v_values
     # node at d = 0.1 holds min(10, 4)
     assert v[0] == pytest.approx(4.0)
     assert np.all(v <= 4.0 + 1e-15)
 
 
 def test_truncate_below_bound_is_identity(interval64):
-    v = sample(truncate(constant_potential(2.0), 5.0), interval64)
+    v = np.minimum(sample(constant_potential(2.0), interval64), 5.0)
     np.testing.assert_allclose(v, 2.0)
 
 
 def test_truncate_composition(interval64):
     p = power_distance_potential(1.5)
-    a = sample(truncate(truncate(p, 6.0), 2.0), interval64)
-    b = sample(truncate(p, 2.0), interval64)
+    v = sample(p, interval64)
+    a = np.minimum(np.minimum(v, 6.0), 2.0)
+    b = np.minimum(v, 2.0)
     np.testing.assert_allclose(a, b)
 
 
@@ -58,8 +64,8 @@ def test_truncation_monotone_in_level(k1, k2):
     d = build_interval(16)
     p = power_distance_potential(2.0)
     lo, hi = sorted((k1, k2))
-    vlo = sample(truncate(p, lo), d)
-    vhi = sample(truncate(p, hi), d)
+    vlo = np.minimum(sample(p, d), lo)
+    vhi = np.minimum(sample(p, d), hi)
     assert np.all(vlo <= vhi + 1e-12)
     assert np.all(vhi <= sample(p, d) + 1e-12)
 
@@ -84,9 +90,12 @@ def test_weighted_l1_divergent_case():
 def test_weighted_l1_monotone_under_truncation():
     d = build_interval(32)
     p = power_distance_potential(1.5)
-    vals = [float(weighted_l1(truncate(p, k), d)) for k in (1.0, 4.0, 16.0, 64.0)]
+    # weighted_l1 refines the grid, which a table cannot follow: compare the
+    # quadrature on the coarsest grid of the ladder
+    v = sample(p, d)
+    vals = [float(np.sum(np.minimum(v, k) * d.distances * d.volumes)) for k in (1.0, 4.0, 16.0, 64.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    assert all(v <= float(weighted_l1(p, d)) + 1e-12 for v in vals)
+    assert all(q <= weighted_l1(p, d).history[0] + 1e-12 for q in vals)
 
 
 def test_sample_reports_singular_node():
@@ -116,7 +125,8 @@ def test_boundedness_flags():
     assert zero_potential().is_bounded()
     assert constant_potential(7.0).is_bounded()
     assert not power_distance_potential(1.5).is_bounded()
-    assert truncate(power_distance_potential(1.5), 8.0).is_bounded()
+    d = build_interval(16)
+    assert table_potential(np.minimum(sample(power_distance_potential(1.5), d), 8.0)).is_bounded()
 
 
 def test_ladder_divergence_detector():

@@ -17,7 +17,6 @@ from stlab import (
     power_distance_potential,
     solve_dirichlet,
     solve_truncated_limit,
-    trace_l1_norm,
     uniform_density,
     zero_potential,
 )
@@ -73,12 +72,12 @@ def test_trace_is_linear(interval64):
 
 def test_trace_l1_norms(interval64):
     t = BoundaryTrace(interval64, np.array([3.0, -4.0]))
-    assert trace_l1_norm(t) == pytest.approx(7.0)
+    assert t.l1_norm() == pytest.approx(7.0)
     d = build_disk(8)
     tc = BoundaryTrace(d, np.full(d.n_boundary, 2.0))
-    assert trace_l1_norm(tc) == pytest.approx(4 * np.pi, rel=0.01)
+    assert tc.l1_norm() == pytest.approx(4 * np.pi, rel=0.01)
     tz = BoundaryTrace(d, np.zeros(d.n_boundary))
-    assert trace_l1_norm(tz) == 0.0
+    assert tz.l1_norm() == 0.0
 
 
 def test_green_identity_trivial_case(interval64):
@@ -147,7 +146,7 @@ def test_trace_estimate_two_total_variations(interval64):
         u, _ = solve_truncated_limit(interval64, pot, mu)
         t = normal_derivative(interval64, u)
         bound = 2 * total_variation(mu, interval64) * (1 + 5 * interval64.h)
-        assert trace_l1_norm(t) <= bound
+        assert t.l1_norm() <= bound
 
 
 def test_trace_csv_rows(interval64):

@@ -19,6 +19,8 @@ from stlab import (
     uniform_density,
     zero_potential,
 )
+from stlab import verify
+from stlab.operator import DEFAULT_TOL
 from stlab.verify import (
     comparison_check,
     energy_check,
@@ -57,6 +59,21 @@ def test_representation_atom_sides_match_closed_form(interval64):
     assert case.left == pytest.approx(0.5, abs=1e-9)
     assert case.right == pytest.approx(0.5, abs=1e-9)
     assert len(rep.table) == 1
+
+
+@pytest.mark.parametrize("potential", [zero_potential(), power_distance_potential(1.5)],
+                         ids=["bounded", "schedule"])
+def test_representation_atomic_measure_can_fail(monkeypatch, potential):
+    # atoms get the algebraic tolerance 10 * tol * max(1, TV): the identity
+    # holds as computed and fails once the kernel side is off by 1e-6
+    d = build_disk(8)
+    mu = dirac([0.2, -0.1], 0.75) + dirac([-0.3, 0.4], 1.5)
+    rep = representation_check(d, potential, mu)
+    assert rep.passed
+    assert {c.tolerance for c in rep.cases} == {10 * DEFAULT_TOL * 2.25}
+    sources = verify.trace_sources
+    monkeypatch.setattr(verify, "trace_sources", lambda *args: sources(*args) * (1 + 1e-6))
+    assert not representation_check(d, potential, mu).passed
 
 
 def test_representation_unbounded_potential(interval64):
