@@ -11,7 +11,6 @@ from the config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,15 +19,11 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .domain import Domain, DomainError
-from .kernel import duality_kernel, kernel_csv_rows, kernel_set, kernel_summary
+from .kernel import duality_kernel, kernel_set, kernel_summary
 from .measure import MeasureError, total_variation
-from .operator import DiscreteOperator, SolverError, cached_operators, solve_truncated_limit
-from .potential import PotentialError, sample
-from .trace import (
-    green_identity_residual,
-    normal_derivative,
-    trace_csv_rows,
-)
+from .operator import SolverError, cached_operators, solve_truncated_limit
+from .potential import PotentialError, sample, table_potential
+from .trace import green_identity_residual, normal_derivative
 from .verify import (
     VerifyReport,
     comparison_check,
@@ -37,30 +32,35 @@ from .verify import (
     hopf_check,
     inequality_suite,
     representation_check,
-    report_csv_rows,
     suite_exit_status,
 )
 
 FLOAT_FMT = "%.17g"
 
 
-def _cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return FLOAT_FMT % float(value)
-    return value
+def _format_column(col) -> list:
+    """One column's cells as text: ints and bools via ``str(int)``, floats via FLOAT_FMT."""
+    col = np.asarray(col)
+    if col.dtype.kind in "biu":
+        return [str(x) for x in col.astype(np.int64).tolist()]
+    if col.dtype.kind == "f":
+        return [FLOAT_FMT % x for x in col.tolist()]
+    return col.tolist()
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, blocks) -> None:
+    """Write ``schema=1``, the header, then each block's rows.
+
+    A block is a sequence of equal-length columns (arrays or lists), and each
+    column is formatted once.  Nothing is quoted: every string cell is a case
+    name the program makes (``boundary_node_<i>``, ``trace_nonnegative_h_<h>``
+    or a fixed name), none with a comma, quote or newline.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("schema=1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(c) for c in row])
+        fh.write("schema=1\n" + ",".join(header) + "\n")
+        for block in blocks:
+            cells = [_format_column(col) for col in block]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _json_default(obj):
@@ -81,17 +81,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _solution_rows(domain: Domain, values: np.ndarray):
-    for i in range(domain.n_interior):
-        coords = tuple(domain.interior_points[i])
-        yield (i, *coords, domain.distances[i], domain.volumes[i], values[i])
-
-
-def _solution_header(domain: Domain):
-    coords = ("x",) if domain.dim == 1 else ("x", "y")
-    return ("node", *coords, "distance", "volume", "value")
-
-
 def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     domain = cfg.build_domain()
     potential = cfg.build_potential()
@@ -102,15 +91,19 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     tr = normal_derivative(domain, u, order=cfg.trace_order)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     flux_residual = green_identity_residual(
-        domain, u, potential, measure, lambda pts: np.ones(pts.shape[0]),
-        order=cfg.trace_order, operator=DiscreteOperator(domain, v_final),
+        domain, u, table_potential(v_final), measure, lambda pts: np.ones(pts.shape[0]),
+        order=cfg.trace_order,
     )
     if "csv" in formats:
+        coords = ("x",) if domain.dim == 1 else ("x", "y")
         _write_csv(os.path.join(out_dir, "solution.csv"),
-                   _solution_header(domain), _solution_rows(domain, u.values))
+                   ("node", *coords, "distance", "volume", "value"),
+                   [(np.arange(domain.n_interior), *domain.interior_points.T,
+                     domain.distances, domain.volumes, u.values)])
         _write_csv(os.path.join(out_dir, "trace.csv"),
                    ("boundary", "coord", "value", "surface_weight"),
-                   trace_csv_rows(tr))
+                   [(np.arange(domain.n_boundary), domain.boundary_coords,
+                     tr.values, domain.surface_weights)])
     if "json" in formats:
         _write_json(os.path.join(out_dir, "solve.json"), {
             "config": cfg.echo(),
@@ -137,8 +130,10 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
         **_solver_kwargs(cfg),
     )
     if "csv" in formats:
-        _write_csv(os.path.join(out_dir, "kernels.csv"),
-                   ("boundary", "node", "value"), kernel_csv_rows(kset))
+        nodes = np.arange(domain.n_interior)
+        _write_csv(os.path.join(out_dir, "kernels.csv"), ("boundary", "node", "value"),
+                   ((np.full(nodes.size, a), nodes, kset.kernels[:, col])
+                    for col, a in enumerate(kset.samples)))
     if "json" in formats:
         summary = kernel_summary(kset)
         summary["config"] = cfg.echo()
@@ -193,9 +188,12 @@ def run_verify(cfg: RunConfig, out_dir: str, formats) -> int:
         reports = [_run_check(name, cfg, domain) for name in cfg.checks]
     if "csv" in formats:
         for report in reports:
+            cases = report.cases
             _write_csv(os.path.join(out_dir, f"{report.check}.csv"),
                        ("case", "left", "right", "residual", "tolerance", "passed"),
-                       report_csv_rows(report))
+                       [([c.name for c in cases], [c.left for c in cases],
+                         [c.right for c in cases], [c.residual for c in cases],
+                         [c.tolerance for c in cases], [c.passed for c in cases])])
     if "json" in formats:
         _write_json(os.path.join(out_dir, "report.json"), {
             "config": cfg.echo(),
@@ -255,7 +253,8 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int | None) -> int:
         observed = float("inf")
 
     if "csv" in formats:
-        _write_csv(os.path.join(out_dir, "study.csv"), ("h", "k", "residual"), rows)
+        _write_csv(os.path.join(out_dir, "study.csv"), ("h", "k", "residual"),
+                   [tuple(zip(*rows))])
     if "json" in formats:
         _write_json(os.path.join(out_dir, "study.json"), {
             "config": cfg.echo(),
@@ -314,10 +313,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(cfg, out_dir, formats)
         return run_study(cfg, out_dir, formats, args.levels)
-    except (ConfigError, DomainError, MeasureError, PotentialError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, OSError) as exc:
+    except (ConfigError, DomainError, MeasureError, PotentialError, ValueError,
+            SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

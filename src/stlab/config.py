@@ -360,6 +360,15 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         if f not in ("csv", "json"):
             raise ConfigError(f"config key 'format': unknown format {f!r}")
 
+    hopf_refinements = _as_int("hopf.refinements", scalars.get("hopf.refinements", "1"))
+    if hopf_refinements < 0:
+        raise ConfigError("config key 'hopf.refinements': must be >= 0")
+    certificate_refinements = _as_int(
+        "certificate.refinements", scalars.get("certificate.refinements", "2")
+    )
+    if certificate_refinements < 1:
+        raise ConfigError("config key 'certificate.refinements': must be >= 1")
+
     study_levels = _as_int("study.levels", scalars.get("study.levels", "3"))
     if study_levels < 2:
         raise ConfigError("config key 'study.levels': levels must refine (need >= 2)")
@@ -395,12 +404,8 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         seed=_as_int("seed", scalars.get("seed", "0")),
         out_dir=scalars.get("out", "out"),
         formats=formats,
-        hopf_refinements=_as_int(
-            "hopf.refinements", scalars.get("hopf.refinements", "1")
-        ),
-        certificate_refinements=_as_int(
-            "certificate.refinements", scalars.get("certificate.refinements", "2")
-        ),
+        hopf_refinements=hopf_refinements,
+        certificate_refinements=certificate_refinements,
         comparison_alpha=comparison_alpha,
         comparison_epsilon=comparison_epsilon,
         study_levels=study_levels,

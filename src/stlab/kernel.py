@@ -247,13 +247,6 @@ def positivity_set(
     return u.values > threshold * peak
 
 
-def kernel_csv_rows(kset: KernelSet):
-    """Rows (boundary index, interior node index, kernel value)."""
-    for col, a in enumerate(kset.samples):
-        for i in range(kset.domain.n_interior):
-            yield int(a), i, kset.kernels[i, col]
-
-
 def kernel_summary(kset: KernelSet) -> dict:
     """JSON-ready summary: per-node min, max, L1 norm, degeneracy flag."""
     l1 = kset.l1_norms()

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from .domain import Domain, DomainError
 from .fields import BoundaryTrace, Field
 from .measure import Measure, load_vector
-from .operator import DiscreteOperator
 from .potential import Potential, sample
 
 
@@ -74,7 +73,6 @@ def green_identity_residual(
     measure: Measure,
     phi,
     order: int = 1,
-    operator: DiscreteOperator | None = None,
 ) -> float:
     """Defect of the integrated identity
     grad-form(u, phi) - mu(phi) + (V u, phi) + boundary term = 0.
@@ -88,15 +86,7 @@ def green_identity_residual(
     uv = u.values
     grad = gradient_form(domain, uv, phi_int, phi_bnd)
     mu_term = float(phi_int @ load_vector(measure, domain))
-    v_vals = operator.v_values if operator is not None else sample(potential, domain)
-    v_term = float(np.sum(v_vals * uv * phi_int * domain.system_weights))
+    v_term = float(np.sum(sample(potential, domain) * uv * phi_int * domain.system_weights))
     tr = trace_matrix(domain, order) @ uv
     trace_term = float(np.sum(tr * phi_bnd * domain.surface_weights))
     return abs(grad - mu_term + v_term + trace_term)
-
-
-def trace_csv_rows(trace: BoundaryTrace):
-    """Rows (boundary index, boundary coordinate, value, surface weight)."""
-    d = trace.domain
-    for b in range(d.n_boundary):
-        yield b, d.boundary_coords[b], trace.values[b], d.surface_weights[b]

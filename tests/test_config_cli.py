@@ -69,6 +69,10 @@ def test_config_validation_errors():
         config_from_pairs([("potential.family", "interior_singularity")])
     with pytest.raises(ConfigError, match="domain.nr"):
         config_from_pairs([("domain.kind", "disk"), ("domain.n", "8")])
+    with pytest.raises(ConfigError, match="hopf.refinements"):
+        config_from_pairs([("hopf.refinements", "-3")])
+    with pytest.raises(ConfigError, match="certificate.refinements"):
+        config_from_pairs([("certificate.refinements", "0")])
 
 
 def test_config_atom_dimension_checked():
@@ -191,6 +195,13 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, "nope = 1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+def test_cli_representation_infinite_measure_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 32\nmeasure.density = power_distance\n"
+                          "measure.density.alpha = 1.5\nchecks = representation\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert "finite measure" in capsys.readouterr().err
 
 
 def test_cli_study_requires_single_check(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """CLI outputs stay byte-identical to the committed golden files.
 
-The files under ``data/golden`` were written by ``stlab verify`` and
-``stlab solve`` on the configs stored beside them.  They pin every digit of
-the deterministic outputs, among them the per-level hopf trace extrema and
-the schedule diagnostics of a saturating, signed solve.
+The files under ``data/golden`` were written by ``stlab verify``,
+``stlab solve``, ``stlab kernel`` and ``stlab study`` on the configs stored
+beside them.  They pin every digit of the deterministic outputs, among them
+the per-level hopf trace extrema, the schedule diagnostics of a saturating,
+signed solve and the row layout of the kernel table.
 """
 
 import os
@@ -15,7 +16,12 @@ from stlab.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
-@pytest.mark.parametrize("command,name", [("verify", "verify_disk"), ("solve", "solve_square")])
+@pytest.mark.parametrize("command,name", [
+    ("verify", "verify_disk"),
+    ("solve", "solve_square"),
+    ("kernel", "kernel_disk"),
+    ("study", "study_interval"),
+])
 def test_cli_outputs_match_golden(tmp_path, command, name):
     out = tmp_path / command
     assert main([command, "--config", os.path.join(GOLDEN, f"{name}.cfg"), "--out", str(out)]) == 0

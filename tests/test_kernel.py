@@ -24,7 +24,10 @@ from stlab import (
     truncation_kernels,
     zero_potential,
 )
-from stlab.kernel import kernel_csv_rows, kernel_summary
+from test_config_cli import read_csv, write
+
+from stlab.cli import main
+from stlab.kernel import kernel_summary
 from stlab.measure import load_vector
 
 
@@ -194,7 +197,7 @@ def test_positivity_set_excludes_interior_singularity():
     assert np.all(mask[far])
 
 
-def test_kernel_set_bundle(interval64):
+def test_kernel_set_bundle(interval64, tmp_path):
     ks = kernel_set(interval64, constant_potential(1.0))
     assert ks.kernels.shape == (interval64.n_interior, 2)
     assert ks.reference is not None
@@ -202,10 +205,15 @@ def test_kernel_set_bundle(interval64):
     np.testing.assert_array_equal(ks.samples, [0, 1])
     l1 = ks.l1_norms()
     assert np.all(l1 > 0)
-    rows = list(kernel_csv_rows(ks))
-    assert len(rows) == 2 * interval64.n_interior
-    a, node, val = rows[0]
-    assert (a, node) == (0, 0)
+    cfg = write(tmp_path, "domain.n = 64\npotential.family = constant\npotential.value = 1.0\n")
+    assert main(["kernel", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
+    _, rows = read_csv(tmp_path / "k" / "kernels.csv")
+    assert len(rows) == 1 + 2 * interval64.n_interior
+    a, node, val = np.array(rows[1:]).T
+    n = interval64.n_interior
+    np.testing.assert_array_equal(a.astype(int), np.repeat(ks.samples, n))
+    np.testing.assert_array_equal(node.astype(int), np.tile(np.arange(n), 2))
+    np.testing.assert_array_equal(val.astype(float), ks.kernels.T.ravel())
     summary = kernel_summary(ks)
     assert summary["n_samples"] == 2
     per_a = summary["kernels"]

@@ -22,7 +22,9 @@ from stlab import (
 )
 from stlab.fields import BoundaryTrace, Field
 from stlab.measure import total_variation
-from stlab.trace import trace_csv_rows
+from test_config_cli import read_csv, write
+
+from stlab.cli import main
 
 
 def test_zero_field_has_zero_trace(interval64):
@@ -149,12 +151,14 @@ def test_trace_estimate_two_total_variations(interval64):
         assert t.l1_norm() <= bound
 
 
-def test_trace_csv_rows(interval64):
-    u = solve_dirichlet(interval64, zero_potential(), dirac([0.5]))
-    rows = list(trace_csv_rows(normal_derivative(interval64, u)))
-    assert len(rows) == 2
-    idx, coord, value, weight = rows[0]
-    assert idx == 0
-    assert coord == pytest.approx(0.0)
-    assert value == pytest.approx(0.5, abs=1e-10)
-    assert weight == 1.0
+def test_trace_csv_rows(tmp_path):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 64\nmeasure.atom = 0.5,1.0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "trace.csv")
+    assert rows[0] == ["boundary", "coord", "value", "surface_weight"]
+    assert len(rows) == 1 + 2
+    idx, coord, value, weight = rows[1]
+    assert idx == "0"
+    assert float(coord) == pytest.approx(0.0)
+    assert float(value) == pytest.approx(0.5, abs=1e-10)
+    assert float(weight) == 1.0

@@ -14,6 +14,7 @@ from stlab import (
     duality_kernel,
     interior_singularity_potential,
     kernel_set,
+    power_distance_density,
     power_distance_potential,
     table_density,
     uniform_density,
@@ -28,9 +29,11 @@ from stlab.verify import (
     hopf_check,
     inequality_suite,
     representation_check,
-    report_csv_rows,
     suite_exit_status,
 )
+from test_config_cli import read_csv, write
+
+from stlab.cli import main
 
 
 def test_representation_zero_measure(interval64):
@@ -74,6 +77,13 @@ def test_representation_atomic_measure_can_fail(monkeypatch, potential):
     sources = verify.trace_sources
     monkeypatch.setattr(verify, "trace_sources", lambda *args: sources(*args) * (1 + 1e-6))
     assert not representation_check(d, potential, mu).passed
+
+
+def test_representation_rejects_infinite_measure():
+    # power-distance density with alpha >= 1 has infinite mass on the interval
+    d = build_interval(32)
+    with pytest.raises(ValueError, match="finite measure"):
+        representation_check(d, zero_potential(), density_measure(power_distance_density(1.5)))
 
 
 def test_representation_unbounded_potential(interval64):
@@ -230,17 +240,21 @@ def test_energy_check_minimum_property(interval64):
     assert rep.details["worst_perturbation_gain"] >= -1e-12
 
 
-def test_report_serialization(interval64):
+def test_report_serialization(interval64, tmp_path):
     rep = inequality_suite(interval64, zero_potential(), dirac([0.5]))
     d = rep.to_dict()
     assert d["check"] == rep.check
     assert d["passed"] == rep.passed
     assert len(d["cases"]) == len(rep.cases)
-    rows = list(report_csv_rows(rep))
-    assert len(rows) == len(rep.cases)
-    name, left, right, residual, tol, passed = rows[0]
-    assert isinstance(name, str)
-    assert passed in (0, 1)
+    cfg = write(tmp_path, "domain.n = 64\nmeasure.atom = 0.5,1.0\nchecks = inequalities\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    _, rows = read_csv(tmp_path / "v" / "inequalities.csv")
+    assert rows[0] == ["case", "left", "right", "residual", "tolerance", "passed"]
+    assert [r[0] for r in rows[1:]] == [c.name for c in rep.cases]
+    assert [r[5] for r in rows[1:]] == [str(int(c.passed)) for c in rep.cases]
+    for row, c in zip(rows[1:], rep.cases):
+        assert [float(x) for x in row[1:5]] == pytest.approx(
+            [c.left, c.right, c.residual, c.tolerance], rel=1e-12, abs=1e-15)
 
 
 def test_suite_exit_status(interval64):
