@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import KEYS, ConfigError, RunConfig, load_config
 from .domain import Domain, DomainError
 from .kernel import duality_kernel, kernel_set, kernel_summary
 from .measure import MeasureError, total_variation
@@ -88,11 +88,11 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     u, diag = solve_truncated_limit(
         domain, potential, measure, cfg.build_schedule(), **_solver_kwargs(cfg),
     )
-    tr = normal_derivative(domain, u, order=cfg.trace_order)
+    tr = normal_derivative(domain, u, order=cfg["trace.order"])
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     flux_residual = green_identity_residual(
         domain, u, table_potential(v_final), measure, lambda pts: np.ones(pts.shape[0]),
-        order=cfg.trace_order,
+        order=cfg["trace.order"],
     )
     if "csv" in formats:
         coords = ("x",) if domain.dim == 1 else ("x", "y")
@@ -127,7 +127,7 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
     potential = cfg.build_potential()
     kset = kernel_set(
         domain, potential, cfg.sample_indices(domain), cfg.build_schedule(),
-        **_solver_kwargs(cfg),
+        order=cfg["trace.order"], **_solver_kwargs(cfg),
     )
     if "csv" in formats:
         nodes = np.arange(domain.n_interior)
@@ -142,8 +142,8 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
 
 
 def _solver_kwargs(cfg: RunConfig) -> dict:
-    return {"solver_tol": cfg.solver_tol, "method": cfg.solver_method,
-            "max_iter": cfg.solver_max_iter}
+    return {"solver_tol": cfg["solver.tol"], "method": cfg["solver.method"],
+            "max_iter": cfg["solver.max_iter"]}
 
 
 def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
@@ -151,33 +151,36 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
     potential = cfg.build_potential()
     schedule = cfg.build_schedule()
     kwargs = _solver_kwargs(cfg)
+    order = cfg["trace.order"]
     if name == "representation":
         return representation_check(
             domain, potential, cfg.build_measure(domain),
-            cfg.sample_indices(domain), schedule, **kwargs,
+            cfg.sample_indices(domain), schedule, order=order, **kwargs,
         )
     if name == "inequalities":
-        return inequality_suite(domain, potential, cfg.build_measure(domain), schedule, **kwargs)
+        return inequality_suite(domain, potential, cfg.build_measure(domain), schedule,
+                                order=order, **kwargs)
     if name == "hopf":
         return hopf_check(
             domain, potential, cfg.build_measure(domain), schedule,
-            refinements=cfg.hopf_refinements, **kwargs,
+            refinements=cfg["hopf.refinements"], order=order, **kwargs,
         )
     if name == "hopf_certificate":
         return hopf_certificate(
-            domain, potential, refinements=cfg.certificate_refinements, **kwargs
+            domain, potential, refinements=cfg["certificate.refinements"], order=order,
+            **kwargs,
         )
     if name == "comparison":
         idx = cfg.sample_indices(domain)
         a = int(idx[0]) if idx is not None else 0
-        v = duality_kernel(domain, potential, a, schedule, **kwargs)
+        v = duality_kernel(domain, potential, a, schedule, order=order, **kwargs)
         return comparison_check(
-            domain, potential, v, alpha=cfg.comparison_alpha,
-            epsilon=cfg.comparison_epsilon, schedule=schedule, **kwargs,
+            domain, potential, v, alpha=cfg["comparison.alpha"],
+            epsilon=cfg["comparison.epsilon"], schedule=schedule, **kwargs,
         )
     if name == "energy":
         return energy_check(
-            domain, potential, cfg.build_measure(domain), seed=cfg.seed, **kwargs
+            domain, potential, cfg.build_measure(domain), seed=cfg["seed"], **kwargs
         )
     raise ConfigError(f"config key 'checks': unknown check {name!r}")
 
@@ -185,7 +188,7 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
 def run_verify(cfg: RunConfig, out_dir: str, formats) -> int:
     domain = cfg.build_domain()
     with cached_operators(domain):
-        reports = [_run_check(name, cfg, domain) for name in cfg.checks]
+        reports = [_run_check(name, cfg, domain) for name in cfg["checks"]]
     if "csv" in formats:
         for report in reports:
             cases = report.cases
@@ -216,15 +219,12 @@ def _study_level(report: VerifyReport) -> float:
     return 0.0
 
 
-def run_study(cfg: RunConfig, out_dir: str, formats, levels: int | None) -> int:
-    if len(cfg.checks) != 1:
+def run_study(cfg: RunConfig, out_dir: str, formats, levels: int) -> int:
+    if len(cfg["checks"]) != 1:
         raise ConfigError("config key 'checks': a study runs exactly one check")
-    n_levels = levels if levels is not None else cfg.study_levels
-    if n_levels < 2:
-        raise ConfigError("config key 'study.levels': levels must refine (need >= 2)")
-    name = cfg.checks[0]
+    name = cfg["checks"][0]
     domains = [cfg.build_domain()]
-    for _ in range(n_levels - 1):
+    for _ in range(levels - 1):
         domains.append(domains[-1].refine())
     if not all(b.h < a.h for a, b in zip(domains, domains[1:])):
         raise ConfigError("config key 'study.levels': levels must refine")
@@ -243,7 +243,7 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int | None) -> int:
             orders.append(float(np.log2(r0 / r1)))
         else:
             orders.append(float("inf"))
-    floor = 10.0 * cfg.solver_tol
+    floor = 10.0 * cfg["solver.tol"]
     at_floor = all(r <= floor for _, _, r in rows)
     if at_floor:
         observed = float("inf")  # residuals sit at the solver floor; no h-dependence
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None,
                        help="comma list of output formats: csv,json")
         if name == "study":
-            p.add_argument("--levels", type=int, default=None,
+            p.add_argument("--levels", default=None,
                            help="number of refinement levels (default: config 'study.levels')")
     return parser
 
@@ -297,14 +297,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.out_dir
-        if args.format is not None:
-            formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-            for f in formats:
-                if f not in ("csv", "json"):
-                    raise ConfigError(f"--format: unknown format {f!r}")
-        else:
-            formats = cfg.formats
+        out_dir = args.out if args.out is not None else cfg["out"]
+        formats = (cfg["format"] if args.format is None
+                   else KEYS["format"].parse(args.format, "--format"))
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve":
             return run_solve(cfg, out_dir, formats)
@@ -312,7 +307,9 @@ def main(argv=None) -> int:
             return run_kernel(cfg, out_dir, formats)
         if args.command == "verify":
             return run_verify(cfg, out_dir, formats)
-        return run_study(cfg, out_dir, formats, args.levels)
+        levels = (cfg["study.levels"] if args.levels is None
+                  else KEYS["study.levels"].parse(args.levels, "--levels"))
+        return run_study(cfg, out_dir, formats, levels)
     except (ConfigError, DomainError, MeasureError, PotentialError, ValueError,
             SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,11 +52,11 @@ def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
     return idx
 
 
-def trace_sources(domain: Domain, samples=None) -> np.ndarray:
+def trace_sources(domain: Domain, samples=None, order: int = 1) -> np.ndarray:
     """Adjoint right-hand sides: column per sampled boundary node, holding the
-    trace-extraction vector (the node's row of the first-order trace matrix)."""
+    trace-extraction vector (the node's row of the trace matrix of ``order``)."""
     idx = resolve_samples(domain, samples)
-    return trace_matrix(domain, order=1)[idx].T.toarray()
+    return trace_matrix(domain, order)[idx].T.toarray()
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,12 @@ def kernel_set(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> KernelSet:
-    """Duality kernels for the sampled boundary nodes (all nodes by default)."""
+    """Duality kernels for the sampled boundary nodes (all nodes by default),
+    representing the trace of ``order``."""
     idx = resolve_samples(domain, samples)
-    rhs = trace_sources(domain, idx)
+    rhs = trace_sources(domain, idx, order)
     P, _, _ = _adjoint_solve(domain, potential, rhs, schedule, solver_tol, method, max_iter)
     if potential.family == "zero":
         ref = P
@@ -198,10 +200,11 @@ def duality_kernel(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> Field:
     """Kernel of one boundary node; schedule limit when the potential is unbounded."""
     kset = kernel_set(domain, potential, [a], schedule, with_reference=False,
-                      solver_tol=solver_tol, method=method, max_iter=max_iter)
+                      solver_tol=solver_tol, method=method, max_iter=max_iter, order=order)
     return Field(domain, kset.kernels[:, 0])
 
 

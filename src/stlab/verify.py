@@ -131,12 +131,14 @@ def representation_check(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> VerifyReport:
     """Trace of the solve versus kernel pairing, one case per sampled boundary node.
 
-    Both sides are evaluated with the same operator, and atoms are deposited
-    into the solve and interpolated from the kernels with the same multilinear
-    weights, so the identity is algebraic for every measure, atoms included:
+    Both sides are evaluated with the same operator and the same trace
+    stencil of ``order``, and atoms are deposited into the solve and
+    interpolated from the kernels with the same multilinear weights, so the
+    identity is algebraic for every measure, atoms included:
     the tolerance is 10 * solver_tol * max(1, total variation).
     ``details["branch"]`` records whether the measure has atoms ("continuum")
     or not ("grid_density"); it does not change the tolerance.
@@ -145,12 +147,12 @@ def representation_check(
     if not np.isfinite(tv):
         raise ValueError("representation check needs a finite measure")
     idx = resolve_samples(domain, samples)
-    rhs = trace_sources(domain, idx)
+    rhs = trace_sources(domain, idx, order)
     kernels, op, final_level = _adjoint_solve(
         domain, potential, rhs, schedule, solver_tol, method, max_iter)
     load = load_vector(measure, domain)
     u = Field(domain, op.solve_load(load, method=method, tol=solver_tol, max_iter=max_iter))
-    tr = normal_derivative(domain, u).values
+    tr = normal_derivative(domain, u, order).values
     paired = kernels.T @ load
 
     tol = 10.0 * solver_tol * max(1.0, tv)
@@ -188,6 +190,7 @@ def inequality_suite(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> VerifyReport:
     """Mass-controlled estimate suite with discretization slack (1 + 5h).
 
@@ -204,8 +207,9 @@ def inequality_suite(
     u, diag = solve_truncated_limit(domain, potential, measure, schedule, **solver_kw)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     absorbed = float(np.sum(v_final * np.abs(u.values) * domain.system_weights))
-    tr = normal_derivative(domain, u)
-    kset = kernel_set(domain, potential, None, schedule, with_reference=True, **solver_kw)
+    tr = normal_derivative(domain, u, order)
+    kset = kernel_set(domain, potential, None, schedule, with_reference=True, order=order,
+                      **solver_kw)
     pos, neg = split_signed(measure, domain)
     pair_abs = kset.pair_measure(pos) + kset.pair_measure(neg)
     fatou = float(np.sum(domain.surface_weights * pair_abs))
@@ -233,22 +237,23 @@ def inequality_suite(
     )
 
 
-def _trace_extrema(domain: Domain, u: Field) -> tuple[float, float]:
+def _trace_extrema(domain: Domain, u: Field, order: int) -> tuple[float, float]:
     """Min and max of the boundary trace, corners excluded on the rectangle."""
-    tr = normal_derivative(domain, u).values
+    tr = normal_derivative(domain, u, order).values
     keep = ~domain.corner_mask
     vals = tr[keep]
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _trace_levels(solver: ScheduleSolver, measure: Measure):
+def _trace_levels(solver: ScheduleSolver, measure: Measure, order: int):
     """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
     taken in the walk itself; a saturated level repeats the previous row."""
     domain = solver.domain
     limit = _L1Limit(domain, 1e-8 * max(total_variation(measure, domain), 1.0))
     rows = []
     for level, u in solver.walk(load_vector(measure, domain)[:, None]):
-        extrema = rows[-1][1:] if u is None else _trace_extrema(domain, Field(domain, u[:, 0]))
+        extrema = (rows[-1][1:] if u is None
+                   else _trace_extrema(domain, Field(domain, u[:, 0]), order))
         rows.append((float(level), *extrema))
         if limit.step(level, u):
             break
@@ -266,6 +271,7 @@ def hopf_check(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> VerifyReport:
     """Boundary positivity of the schedule-limit trace for nonnegative data.
 
@@ -277,6 +283,8 @@ def hopf_check(
     positivity set and there is no density part, the verdict is
     "no_solution_expected" and no classification is attempted.
     """
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     if measure.is_zero():
         raise ValueError("boundary positivity needs a nonzero measure")
     if not is_nonnegative(measure, domain):
@@ -300,7 +308,7 @@ def hopf_check(
             )
 
     grids = [domain]
-    for _ in range(max(refinements, 0)):
+    for _ in range(refinements):
         grids.append(grids[-1].refine())
 
     per_grid = []
@@ -308,7 +316,7 @@ def hopf_check(
     cases = []
     for g in grids:
         solver = ScheduleSolver(g, potential, schedule, solver_tol, method, max_iter)
-        diag, rows = _trace_levels(solver, measure)
+        diag, rows = _trace_levels(solver, measure, order)
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,
@@ -362,6 +370,7 @@ def hopf_certificate(
     solver_tol: float = DEFAULT_TOL,
     method: str = "auto",
     max_iter: int | None = None,
+    order: int = 1,
 ) -> VerifyReport:
     """Certificate for boundary positivity: the unit-source zero-potential
     profile must pair integrably with the potential and have strictly positive
@@ -375,9 +384,11 @@ def hopf_certificate(
     """
     from .potential import ladder_diverges
 
+    if refinements < 1:
+        raise ValueError(f"refinements must be >= 1, got {refinements}")
     source = density_measure(uniform_density(1.0))
     grids = [domain]
-    for _ in range(max(refinements, 1)):
+    for _ in range(refinements):
         grids.append(grids[-1].refine())
     history = []
     theta = None
@@ -387,7 +398,7 @@ def hopf_certificate(
         history.append(float(np.sum(sample(potential, g) * theta.values * g.volumes)))
     divergent = ladder_diverges(history)
     ratios = [b / a if abs(a) > 0.0 else 1.0 for a, b in zip(history, history[1:])]
-    lo, _ = _trace_extrema(grids[-1], theta)
+    lo, _ = _trace_extrema(grids[-1], theta, order)
     certified = (not divergent) and lo > 0.0
 
     wl1 = weighted_l1(potential, domain)

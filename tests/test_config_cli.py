@@ -3,14 +3,15 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from stlab.cli import main
 from stlab.config import (
+    KEYS,
     ConfigError,
-    RunConfig,
     config_from_pairs,
     env_overrides,
     load_config,
@@ -43,13 +44,92 @@ def test_parse_config_rejects_unknown_key():
         parse_config_text("domain.kind disk\n")
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_config_defaults():
     cfg = config_from_pairs([])
-    assert cfg.domain_kind == "interval"
-    assert cfg.domain_resolution == {"n": 64}
-    assert cfg.schedule_j == 14
-    assert cfg.solver_tol == 1e-10
-    assert cfg.formats == ("csv", "json")
+    assert cfg["domain.kind"] == "interval"
+    assert cfg.params("domain.resolution") == {"n": 64}
+    assert cfg["schedule.j"] == 14
+    assert cfg["solver.tol"] == 1e-10
+    assert cfg["format"] == ("csv", "json")
+
+
+# the family or grid under which a key is accepted
+CONTEXT = {
+    "domain.nr": [("domain.kind", "disk")],
+    "domain.ntheta": [("domain.kind", "disk")],
+    "potential.value": [("potential.family", "constant")],
+    "potential.alpha": [("potential.family", "power_distance")],
+    "potential.scale": [("potential.family", "power_distance")],
+    "potential.x0": [("potential.family", "interior_singularity")],
+    "measure.density.value": [("measure.density", "uniform")],
+    "measure.density.alpha": [("measure.density", "power_distance")],
+    "measure.density.scale": [("measure.density", "power_distance")],
+}
+
+
+def _valid_text(key):
+    """A value inside the key's bound that differs from its default."""
+    if key.kind in ("choice", "choices"):
+        return key.bound[1]
+    if key.kind == "floats":
+        return ",".join(["0.5"] * key.bound)
+    if key.kind == "text":
+        return "stride:2"
+    lo, hi = key.bound or (0, np.inf)
+    if key.kind == "int":
+        return str(hi if np.isfinite(hi) else lo + 5)
+    return repr(lo + (min(hi, lo + 1.0) - lo) / 4.0)
+
+
+def _invalid_texts(key):
+    """Values the key's parser must reject: bad syntax, then its bound's edges."""
+    texts = ["bogus"]
+    if key.kind == "float":
+        texts.append("inf")
+    if key.kind == "floats":
+        texts.append(",".join(["0.5"] * (key.bound - 1)))
+    if key.kind in ("int", "float") and key.bound is not None:
+        lo, hi = key.bound
+        step = 1 if key.kind == "int" else 0
+        texts.append(str(lo - step))
+        if np.isfinite(hi):
+            texts.append(str(hi + step))
+    return texts
+
+
+PARSED_KEYS = [k for k in KEYS.values() if k.kind != "text"]
+
+
+@pytest.mark.parametrize("key", PARSED_KEYS, ids=[k.name for k in PARSED_KEYS])
+def test_every_key_rejects_invalid_values(key):
+    for text in _invalid_texts(key):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key.name!r}")):
+            config_from_pairs(CONTEXT.get(key.name, []) + [(key.name, text)])
+
+
+@pytest.mark.parametrize("key", KEYS.values(), ids=list(KEYS))
+def test_every_key_env_and_file_agree(key):
+    text = _valid_text(key)
+    context = CONTEXT.get(key.name, [])
+    from_file = config_from_pairs(context + parse_config_text(f"{key.name} = {text}\n"))
+    env_name = "STL_" + key.name.replace(".", "_").upper()
+    from_env = config_from_pairs(context + env_overrides({env_name: text}))
+    assert from_file == from_env
+    if key.name == "measure.atom":
+        assert from_file.atoms == (key.parse(text),)
+    else:
+        assert from_file[key.name] == key.parse(text) != key.default
+
+
+def test_readme_lists_every_key():
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    missing = [name for name in KEYS if f"`{name}`" not in readme]
+    assert not missing
 
 
 def test_config_validation_errors():
@@ -98,7 +178,7 @@ def test_env_overrides():
 def test_load_config_env_wins(tmp_path):
     path = write(tmp_path, "domain.kind = interval\ndomain.n = 64\n")
     cfg = load_config(path, environ={"STL_DOMAIN_N": "16"})
-    assert cfg.domain_resolution == {"n": 16}
+    assert cfg.params("domain.resolution") == {"n": 16}
 
 
 def test_sample_indices():
@@ -213,6 +293,7 @@ def test_cli_study_requires_single_check(tmp_path, capsys):
 def test_cli_study_validates_levels(tmp_path, capsys):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nchecks = representation\nmeasure.atom = 0.5,1.0\n")
     assert main(["study", "--config", cfg, "--out", str(tmp_path / "s"), "--levels", "1"]) == 2
+    assert "--levels" in capsys.readouterr().err
 
 
 def test_cli_study_reports_refinement_table(tmp_path):
@@ -248,12 +329,14 @@ def test_cli_csv_floats_round_trip(tmp_path):
     assert any(v != round(v, 6) for v in vals)
 
 
-def test_cli_format_flag_csv_only(tmp_path):
+def test_cli_format_flag_csv_only(tmp_path, capsys):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n")
     out = tmp_path / "fmt"
     assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
     assert (out / "solution.csv").exists()
     assert not (out / "solve.json").exists()
+    assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv,xml"]) == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("via_env", [False, True], ids=["key", "env"])
@@ -270,3 +353,40 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, via_env):
     monkeypatch.delenv("STL_SOLVER_MAX_ITER", raising=False)
     cfg = write(tmp_path, text.replace("solver.max_iter = 1\n", ""))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("text,key", [
+    ("potential.family = power_distance\npotential.value = 7\n", "potential.value"),
+    ("potential.family = power_distance\npotential.x0 = 0.1,0.2\n", "potential.x0"),
+    ("potential.family = constant\npotential.alpha = 1.5\n", "potential.alpha"),
+    ("measure.density.alpha = 0.3\n", "measure.density.alpha"),
+    ("measure.density = uniform\nmeasure.density.scale = 2\n", "measure.density.scale"),
+], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform"])
+def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_cli_trace_order_two_reaches_verify_and_kernel(tmp_path, monkeypatch):
+    """On the golden disk configs, order 2 changes both sides of the
+    representation identity and the kernels; the identity still holds."""
+    monkeypatch.setenv("STL_TRACE_ORDER", "2")
+    monkeypatch.setenv("STL_CHECKS", "representation")
+    out = tmp_path / "v"
+    assert main(["verify", "--config", os.path.join(GOLDEN, "verify_disk.cfg"),
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out / "representation.csv")
+    _, golden = read_csv(os.path.join(GOLDEN, "verify", "representation.csv"))
+    assert [r[0] for r in rows] == [r[0] for r in golden]
+    assert all(r[5] == "1" for r in rows[1:])
+    for col in (1, 2):  # left, right
+        assert all(r[col] != g[col] for r, g in zip(rows[1:], golden[1:]))
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["trace.order"] == 2 and report["passed"] is True
+
+    out = tmp_path / "k"
+    assert main(["kernel", "--config", os.path.join(GOLDEN, "kernel_disk.cfg"),
+                 "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, "kernel", "kernels.csv"), "rb") as fh:
+        assert (out / "kernels.csv").read_bytes() != fh.read()

@@ -142,6 +142,18 @@ def test_hopf_rejects_bad_measures(interval64):
         hopf_check(interval64, zero_potential(), dirac([0.3]) + dirac([0.6], -1.0))
 
 
+@pytest.mark.parametrize("refinements", [-1, -3])
+def test_hopf_rejects_negative_refinements(refinements):
+    with pytest.raises(ValueError, match="refinements"):
+        hopf_check(build_disk(8), zero_potential(), dirac([0.1, 0.1]), refinements=refinements)
+
+
+@pytest.mark.parametrize("refinements", [0, -2])
+def test_certificate_rejects_refinements_below_one(interval64, refinements):
+    with pytest.raises(ValueError, match="refinements"):
+        hopf_certificate(interval64, zero_potential(), refinements=refinements)
+
+
 def test_hopf_interval_positive_case():
     d = build_interval(64)
     rep = hopf_check(d, power_distance_potential(1.5), dirac([0.5]), refinements=1)
