@@ -46,6 +46,7 @@ from .potential import (
 from .operator import (
     DiscreteOperator,
     ScheduleSolver,
+    Solver,
     SolverError,
     TruncationDiagnostics,
     assemble,
@@ -95,6 +96,7 @@ __all__ = [
     "PotentialError",
     "RunConfig",
     "ScheduleSolver",
+    "Solver",
     "SolverError",
     "TruncationDiagnostics",
     "TruncationSchedule",

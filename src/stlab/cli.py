@@ -85,9 +85,7 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     domain = cfg.build_domain()
     potential = cfg.build_potential()
     measure = cfg.build_measure(domain)
-    u, diag = solve_truncated_limit(
-        domain, potential, measure, cfg.build_schedule(), **_solver_kwargs(cfg),
-    )
+    u, diag = solve_truncated_limit(domain, potential, measure, cfg.build_solver())
     tr = normal_derivative(domain, u, order=cfg["trace.order"])
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     flux_residual = green_identity_residual(
@@ -125,10 +123,8 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
 def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
     domain = cfg.build_domain()
     potential = cfg.build_potential()
-    kset = kernel_set(
-        domain, potential, cfg.sample_indices(domain), cfg.build_schedule(),
-        order=cfg["trace.order"], **_solver_kwargs(cfg),
-    )
+    kset = kernel_set(domain, potential, cfg.sample_indices(domain), cfg.build_solver(),
+                      order=cfg["trace.order"])
     if "csv" in formats:
         nodes = np.arange(domain.n_interior)
         _write_csv(os.path.join(out_dir, "kernels.csv"), ("boundary", "node", "value"),
@@ -141,46 +137,40 @@ def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
     return 0
 
 
-def _solver_kwargs(cfg: RunConfig) -> dict:
-    return {"solver_tol": cfg["solver.tol"], "method": cfg["solver.method"],
-            "max_iter": cfg["solver.max_iter"]}
-
-
 def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
     """One check on ``domain``; callers scope an operator cache to the grid."""
     potential = cfg.build_potential()
-    schedule = cfg.build_schedule()
-    kwargs = _solver_kwargs(cfg)
+    solver = cfg.build_solver()
     order = cfg["trace.order"]
     if name == "representation":
         return representation_check(
             domain, potential, cfg.build_measure(domain),
-            cfg.sample_indices(domain), schedule, order=order, **kwargs,
+            cfg.sample_indices(domain), solver, order=order,
         )
     if name == "inequalities":
-        return inequality_suite(domain, potential, cfg.build_measure(domain), schedule,
-                                order=order, **kwargs)
+        return inequality_suite(domain, potential, cfg.build_measure(domain), solver,
+                                order=order)
     if name == "hopf":
         return hopf_check(
-            domain, potential, cfg.build_measure(domain), schedule,
-            refinements=cfg["hopf.refinements"], order=order, **kwargs,
+            domain, potential, cfg.build_measure(domain), solver,
+            refinements=cfg["hopf.refinements"], order=order,
         )
     if name == "hopf_certificate":
         return hopf_certificate(
-            domain, potential, refinements=cfg["certificate.refinements"], order=order,
-            **kwargs,
+            domain, potential, refinements=cfg["certificate.refinements"], solver=solver,
+            order=order,
         )
     if name == "comparison":
         idx = cfg.sample_indices(domain)
         a = int(idx[0]) if idx is not None else 0
-        v = duality_kernel(domain, potential, a, schedule, order=order, **kwargs)
+        v = duality_kernel(domain, potential, a, solver, order=order)
         return comparison_check(
             domain, potential, v, alpha=cfg["comparison.alpha"],
-            epsilon=cfg["comparison.epsilon"], schedule=schedule, **kwargs,
+            epsilon=cfg["comparison.epsilon"], solver=solver,
         )
     if name == "energy":
         return energy_check(
-            domain, potential, cfg.build_measure(domain), seed=cfg["seed"], **kwargs
+            domain, potential, cfg.build_measure(domain), seed=cfg["seed"], solver=solver
         )
     raise ConfigError(f"config key 'checks': unknown check {name!r}")
 

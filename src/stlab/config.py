@@ -29,6 +29,7 @@ from .measure import (
     power_distance_density,
     uniform_density,
 )
+from .operator import Solver
 from .potential import (
     Potential,
     TruncationSchedule,
@@ -95,10 +96,10 @@ class Key:
     ``kind`` names the parser: "int", "float", "choice", "choices" (a comma
     list of choices), "floats" (a comma list of numbers) or "text".
     ``bound`` is the closed range [lo, hi] of an int, the open range
-    (lo, hi) of a float, the accepted names of a choice, or the least length
-    of a float list.  A ``default`` of None leaves the key unset.  ``group``
-    names the echo entry that collects the key under its last name segment
-    (grid sizes and family parameters).
+    (lo, hi) of a float ([lo, hi) with ``closed_lo``), the accepted names of
+    a choice, or the least length of a float list.  A ``default`` of None
+    leaves the key unset.  ``group`` names the echo entry that collects the
+    key under its last name segment (grid sizes and family parameters).
     """
 
     name: str
@@ -106,6 +107,7 @@ class Key:
     bound: object = None
     default: object = None
     group: str | None = None
+    closed_lo: bool = False
 
     def parse(self, text: str, label: str | None = None):
         """The value of ``text``; errors name ``label`` (default: this key)."""
@@ -132,8 +134,11 @@ class Key:
             lo, hi = self.bound
             if self.kind == "int" and not lo <= v <= hi:
                 raise ValueError(f"must lie in [{lo}, {hi}], got {v}")
-            if self.kind == "float" and not lo < v < hi:
-                raise ValueError(f"must lie in ({lo}, {hi}), got {v!r}")
+            if self.kind == "float":
+                above = lo <= v if self.closed_lo else lo < v
+                if not (above and v < hi):
+                    opening = "[" if self.closed_lo else "("
+                    raise ValueError(f"must lie in {opening}{lo}, {hi}), got {v!r}")
         return v
 
 
@@ -143,9 +148,9 @@ KEYS = {key.name: key for key in (
     Key("domain.nr", "int", (4, np.inf), 16, group="domain.resolution"),
     Key("domain.ntheta", "int", (4, np.inf), group="domain.resolution"),
     Key("potential.family", "choice", tuple(POTENTIALS), "zero"),
-    Key("potential.value", "float", group="potential.params"),
+    Key("potential.value", "float", (0.0, np.inf), group="potential.params", closed_lo=True),
     Key("potential.alpha", "float", (0.0, np.inf), group="potential.params"),
-    Key("potential.scale", "float", group="potential.params"),
+    Key("potential.scale", "float", (0.0, np.inf), group="potential.params", closed_lo=True),
     Key("potential.x0", "floats", 1, group="potential.params"),
     Key("measure.atom", "floats", 2),
     Key("measure.density", "choice", tuple(DENSITIES)),
@@ -234,19 +239,15 @@ class RunConfig:
     def build_measure(self, domain: Domain) -> Measure:
         m = Measure()
         for atom in self.atoms:
-            if len(atom) != domain.dim + 1:
-                raise ConfigError(
-                    f"config key 'measure.atom': expected {domain.dim} coordinate(s) "
-                    f"plus a weight, got {atom}"
-                )
             m = m + dirac(atom[:-1], atom[-1])
         if self["measure.density"] is not None:
             make, defaults = DENSITIES[self["measure.density"]]
             m = m + density_measure(make(**{**defaults, **self.params("measure.density.params")}))
         return m
 
-    def build_schedule(self) -> TruncationSchedule:
-        return TruncationSchedule(J=self["schedule.j"], base=self["schedule.base"])
+    def build_solver(self) -> Solver:
+        schedule = TruncationSchedule(J=self["schedule.j"], base=self["schedule.base"])
+        return Solver(self["solver.tol"], self["solver.method"], self["solver.max_iter"], schedule)
 
     def sample_indices(self, domain: Domain):
         """Boundary sample selection: None means every boundary node."""
@@ -317,6 +318,19 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
                 )
             if param in takes and takes[param] is None and key.name not in texts:
                 raise ConfigError(f"config key {key.name!r}: required for {family}")
+
+    # potential.x0 and the atoms are points of the grid
+    dim = 1 if kind == "interval" else 2
+    x0 = values["potential.x0"]
+    if x0 is not None and len(x0) != dim:
+        raise ConfigError(
+            f"config key 'potential.x0': expected {dim} coordinate(s) on the {kind}, got {x0}"
+        )
+    for atom in atoms:
+        if len(atom) != dim + 1:
+            raise ConfigError(
+                f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
+            )
 
     return RunConfig(values, tuple(atoms))
 

@@ -25,19 +25,17 @@ from .domain import Domain, DomainError
 from .fields import Field
 from .measure import Measure, density_measure, load_vector, uniform_density
 from .operator import (
-    DEFAULT_TOL,
     DiscreteOperator,
     ScheduleSolver,
-    TruncationDiagnostics,
+    Solver,
     assemble,
     solve_truncated_limit,
 )
-from .potential import Potential, TruncationSchedule, zero_potential
+from .potential import Potential, zero_potential
 from .trace import trace_matrix
 
 DEGENERACY_FACTOR = 1e-10
 KERNEL_STOP_FACTOR = 1e-8
-MONOTONE_TOL = 1e-9
 
 
 def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
@@ -85,95 +83,74 @@ class KernelSet:
 
 
 def schedule_kernel_run(
-    solver: ScheduleSolver,
+    walker: ScheduleSolver,
     rhs: np.ndarray,
     stop_early: bool = True,
     collect: list | None = None,
-) -> tuple[np.ndarray, TruncationDiagnostics]:
+) -> tuple[np.ndarray, float]:
     """Solve the adjoint system along the schedule; returns the last level's
-    kernels.  ``collect`` receives the kernel array of every level run.
+    kernels and that level.  ``collect`` receives the kernel array of every
+    level run.
 
     Saturated levels (truncation no longer changes the sampled potential) reuse
     the previous solution: the discrete problem is identical, so recomputing
     could only add factorization noise.  Without ``stop_early`` the walk runs
     the whole schedule, past convergence and saturation.
     """
-    vol = solver.domain.volumes
     prev = None
-    run, dists = [], []
+    final_level = None
     scale = None
-    monotone = True
-    saturated = False
     converged = False
-    for level, P in solver.walk(rhs):
+    for level, P in walker.walk(rhs):
         if P is None:
-            saturated = converged = True
             if stop_early:
                 break
             P = prev
-            dists.append(0.0)
-        else:
-            if scale is None:
-                scale = max(float(np.max(np.abs(P))), 1e-300)
-            if prev is not None:
-                if np.any(P > prev + MONOTONE_TOL):
-                    monotone = False
-                diff = np.abs(P - prev)
-                dists.append(float(np.max(diff.T @ vol)))
-                if float(np.max(diff)) < KERNEL_STOP_FACTOR * scale:
-                    converged = True
-        run.append(level)
+        elif prev is None:
+            scale = max(float(np.max(np.abs(P))), 1e-300)
+        elif float(np.max(np.abs(P - prev))) < KERNEL_STOP_FACTOR * scale:
+            converged = True
+        final_level = level
         if collect is not None:
             collect.append(P)
         prev = P
         if converged and stop_early:
             break
-    return prev, TruncationDiagnostics(
-        levels=tuple(run),
-        l1_distances=tuple(dists),
-        monotone=monotone,
-        converged=converged,
-        final_level=run[-1],
-        saturated=saturated,
-    )
+    return prev, final_level
 
 
 def _adjoint_solve(domain: Domain, potential: Potential, rhs: np.ndarray,
-                   schedule: TruncationSchedule | None, solver_tol: float, method: str,
-                   max_iter: int | None) -> tuple[np.ndarray, DiscreteOperator, float]:
+                   solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Kernels of the adjoint sources ``rhs``: one solve for a bounded
     potential, the schedule limit otherwise.  Returns the kernels, the
     operator that produced them and its truncation level."""
     if potential.is_bounded():
         op = assemble(domain, potential)
-        P = op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
+        P = op.solve_load(rhs, solver)
         return P, op, float(potential.bound)
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
-    P, diag = schedule_kernel_run(solver, rhs)
-    return P, solver.operator, diag.final_level
+    walker = ScheduleSolver(domain, potential, solver)
+    P, final_level = schedule_kernel_run(walker, rhs)
+    return P, walker.operator, final_level
 
 
 def kernel_set(
     domain: Domain,
     potential: Potential,
     samples=None,
-    schedule: TruncationSchedule | None = None,
+    solver: Solver | None = None,
     with_reference: bool = True,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
     order: int = 1,
 ) -> KernelSet:
     """Duality kernels for the sampled boundary nodes (all nodes by default),
     representing the trace of ``order``."""
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx, order)
-    P, _, _ = _adjoint_solve(domain, potential, rhs, schedule, solver_tol, method, max_iter)
+    P, _, _ = _adjoint_solve(domain, potential, rhs, solver)
     if potential.family == "zero":
         ref = P
     elif with_reference:
         ref_op = assemble(domain, zero_potential())
-        ref = ref_op.solve_load(rhs, method=method, tol=solver_tol, max_iter=max_iter)
+        ref = ref_op.solve_load(rhs, solver)
     else:
         ref = None
     l1 = np.abs(P).T @ domain.volumes
@@ -196,15 +173,11 @@ def duality_kernel(
     domain: Domain,
     potential: Potential,
     a: int,
-    schedule: TruncationSchedule | None = None,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
     order: int = 1,
 ) -> Field:
     """Kernel of one boundary node; schedule limit when the potential is unbounded."""
-    kset = kernel_set(domain, potential, [a], schedule, with_reference=False,
-                      solver_tol=solver_tol, method=method, max_iter=max_iter, order=order)
+    kset = kernel_set(domain, potential, [a], solver, with_reference=False, order=order)
     return Field(domain, kset.kernels[:, 0])
 
 
@@ -212,27 +185,22 @@ def truncation_kernels(
     domain: Domain,
     potential: Potential,
     a: int,
-    schedule: TruncationSchedule | None = None,
+    solver: Solver | None = None,
     stop_early: bool = True,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
     the last entry is the schedule limit returned by duality_kernel."""
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method)
+    walker = ScheduleSolver(domain, potential, solver)
     mats: list[np.ndarray] = []
-    schedule_kernel_run(solver, trace_sources(domain, [a]), stop_early, collect=mats)
+    schedule_kernel_run(walker, trace_sources(domain, [a]), stop_early, collect=mats)
     return [Field(domain, m[:, 0].copy()) for m in mats]
 
 
 def positivity_set(
     domain: Domain,
     potential: Potential,
-    schedule: TruncationSchedule | None = None,
+    solver: Solver | None = None,
     threshold: float = 1e-10,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Mask of nodes where the unit-density schedule limit stays positive.
 
@@ -240,10 +208,7 @@ def positivity_set(
     the potential (the strong maximum principle failed there).
     """
     source = density_measure(uniform_density(1.0))
-    u, _ = solve_truncated_limit(
-        domain, potential, source, schedule,
-        method=method, solver_tol=solver_tol, max_iter=max_iter,
-    )
+    u, _ = solve_truncated_limit(domain, potential, source, solver)
     peak = float(np.max(u.values))
     if peak <= 0.0:
         return np.zeros(domain.n_interior, dtype=bool)

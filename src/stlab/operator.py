@@ -11,7 +11,8 @@ adjoint solve used by duality kernels is a plain solve with K.
 Solves default to a cached sparse LU factorization (one factorization serves
 every right-hand side, which kernel sets rely on); conjugate gradients with a
 Jacobi preconditioner is available as ``method="cg"``.  Both paths enforce the
-relative-residual postcondition.
+relative-residual postcondition.  A ``Solver`` value carries the settings of
+every solve of a run: tolerance, method, iteration cap and truncation schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ DIRECT_LIMIT = 200_000
 
 class SolverError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class Solver:
+    """How a run solves: the relative-residual tolerance, the method ("auto",
+    "direct" or "cg"), the CG iteration cap (None: 10 times the unknowns) and
+    the truncation schedule that unbounded potentials walk."""
+
+    tol: float = DEFAULT_TOL
+    method: str = "auto"
+    max_iter: int | None = None
+    schedule: TruncationSchedule = TruncationSchedule()
 
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
@@ -69,15 +82,11 @@ class DiscreteOperator:
         self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
         self._lu = None
 
-    def solve_load(
-        self,
-        load: np.ndarray,
-        method: str = "auto",
-        tol: float = DEFAULT_TOL,
-        max_iter: int | None = None,
-    ) -> np.ndarray:
+    def solve_load(self, load: np.ndarray, solver: Solver | None = None) -> np.ndarray:
         """Solve K u = load for one or many (columns) integrated right-hand sides."""
+        solver = solver or Solver()
         load = np.asarray(load, dtype=float)
+        method = solver.method
         if method == "auto":
             method = "direct" if self.domain.n_interior <= DIRECT_LIMIT else "cg"
         if method == "direct":
@@ -85,19 +94,20 @@ class DiscreteOperator:
                 self._lu = spla.splu(self.system)
             u = self._lu.solve(load)
         elif method == "cg":
-            u = self._solve_cg(load, tol, max_iter)
+            u = self._solve_cg(load, solver)
         else:
             raise SolverError(f"unknown solver method {method!r}")
-        self._check_residual(u, load, tol)
+        self._check_residual(u, load, solver.tol)
         return u
 
-    def _solve_cg(self, load: np.ndarray, tol: float, max_iter: int | None) -> np.ndarray:
+    def _solve_cg(self, load: np.ndarray, solver: Solver) -> np.ndarray:
         precond = sp.diags(1.0 / self.system.diagonal())
-        max_iter = max_iter or 10 * self.domain.n_interior
+        max_iter = solver.max_iter or 10 * self.domain.n_interior
         cols = load.reshape(load.shape[0], -1)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            x, info = spla.cg(self.system, cols[:, j], rtol=tol, atol=0.0, maxiter=max_iter, M=precond)
+            x, info = spla.cg(self.system, cols[:, j], rtol=solver.tol, atol=0.0,
+                              maxiter=max_iter, M=precond)
             if info != 0:
                 r = np.linalg.norm(self.system @ x - cols[:, j]) / max(np.linalg.norm(cols[:, j]), 1e-300)
                 raise SolverError(
@@ -168,7 +178,7 @@ class TruncationDiagnostics:
 
 class ScheduleSolver:
     """The truncation-schedule engine: one pass over the levels k of the
-    schedule, solving with min(V, k) at each.
+    solver's schedule, solving with min(V, k) at each.
 
     The walk holds only the current level's operator, so an uncached grid
     keeps at most one LU factor alive.  Stop rules belong to the consumers,
@@ -176,21 +186,10 @@ class ScheduleSolver:
     operator of the last level solved.
     """
 
-    def __init__(
-        self,
-        domain: Domain,
-        potential: Potential,
-        schedule: TruncationSchedule | None = None,
-        solver_tol: float = DEFAULT_TOL,
-        method: str = "auto",
-        max_iter: int | None = None,
-    ):
+    def __init__(self, domain: Domain, potential: Potential, solver: Solver | None = None):
         self.domain = domain
         self.potential = potential
-        self.schedule = schedule or TruncationSchedule()
-        self.solver_tol = solver_tol
-        self.method = method
-        self.max_iter = max_iter
+        self.solver = solver or Solver()
         self.operator: DiscreteOperator | None = None
 
     def walk(self, load: np.ndarray):
@@ -202,16 +201,14 @@ class ScheduleSolver:
         """
         full = sample(self.potential, self.domain)
         prev = None
-        for level in self.schedule.levels():
+        for level in self.solver.schedule.levels():
             vals = np.minimum(full, level)
             if prev is not None and np.array_equal(vals, prev):
                 yield level, None
                 continue
             # rebinding drops the previous level's factor before this one is made
             self.operator = _operator_for(self.domain, vals, f"min({self.potential.label},{level:g})")
-            yield level, self.operator.solve_load(
-                load, method=self.method, tol=self.solver_tol, max_iter=self.max_iter
-            )
+            yield level, self.operator.solve_load(load, self.solver)
             prev = vals
 
 
@@ -270,13 +267,12 @@ def solve_dirichlet(
     potential: Potential,
     measure: Measure,
     operator: DiscreteOperator | None = None,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
+    solver: Solver | None = None,
 ) -> Field:
     """Single bounded-potential solve; see solve_truncated_limit for singular V."""
     op = operator if operator is not None else assemble(domain, potential)
     load = load_vector(measure, domain)
-    u = op.solve_load(load, method=method, tol=tol)
+    u = op.solve_load(load, solver)
     return Field(domain, u)
 
 
@@ -284,11 +280,8 @@ def solve_truncated_limit(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    schedule: TruncationSchedule | None = None,
+    solver: Solver | None = None,
     stop_tol: float | None = None,
-    method: str = "auto",
-    solver_tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
@@ -305,8 +298,8 @@ def solve_truncated_limit(
         stop_tol = 1e-8 * max(tv, 1.0)
     parts = (measure,) if is_nonnegative(measure, domain) else split_signed(measure, domain)
     limit = _L1Limit(domain, stop_tol, len(parts))
-    solver = ScheduleSolver(domain, potential, schedule, solver_tol, method, max_iter)
-    for level, u in solver.walk(np.column_stack([load_vector(p, domain) for p in parts])):
+    walker = ScheduleSolver(domain, potential, solver)
+    for level, u in walker.walk(np.column_stack([load_vector(p, domain) for p in parts])):
         if limit.step(level, u):
             break
     u = limit.u[:, 0] if len(parts) == 1 else limit.u[:, 0] - limit.u[:, 1]

@@ -100,6 +100,11 @@ def _sample_raw(potential: Potential, domain: Domain) -> np.ndarray:
         return p["scale"] * domain.distances ** (-p["alpha"])
     if fam == "interior_singularity":
         p = potential.params
+        if len(p["x0"]) != domain.dim:
+            raise PotentialError(
+                f"interior_singularity x0 has {len(p['x0'])} coordinate(s), "
+                f"the {domain.kind} has dimension {domain.dim}"
+            )
         diff = domain.interior_points - np.asarray(p["x0"])
         r = np.sqrt(np.sum(diff * diff, axis=1))
         with np.errstate(divide="ignore"):

@@ -35,17 +35,18 @@ from .measure import (
     uniform_density,
 )
 from .operator import (
-    DEFAULT_TOL,
     ScheduleSolver,
+    Solver,
     _L1Limit,
     assemble,
     energy,
     solve_truncated_limit,
 )
-from .potential import Potential, TruncationSchedule, sample, weighted_l1, zero_potential
+from .potential import Potential, sample, weighted_l1, zero_potential
 from .trace import normal_derivative
 
 SLACK_RATE = 5.0  # discretization slack factor (1 + SLACK_RATE * h) on the estimates
+COMPARISON_TOL = 1e-8  # absolute slack of the comparison bound eps * zeta <= v
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,7 @@ def representation_check(
     potential: Potential,
     measure: Measure,
     samples=None,
-    schedule: TruncationSchedule | None = None,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
     order: int = 1,
 ) -> VerifyReport:
     """Trace of the solve versus kernel pairing, one case per sampled boundary node.
@@ -139,7 +137,7 @@ def representation_check(
     stencil of ``order``, and atoms are deposited into the solve and
     interpolated from the kernels with the same multilinear weights, so the
     identity is algebraic for every measure, atoms included:
-    the tolerance is 10 * solver_tol * max(1, total variation).
+    the tolerance is 10 * solver.tol * max(1, total variation).
     ``details["branch"]`` records whether the measure has atoms ("continuum")
     or not ("grid_density"); it does not change the tolerance.
     """
@@ -148,14 +146,14 @@ def representation_check(
         raise ValueError("representation check needs a finite measure")
     idx = resolve_samples(domain, samples)
     rhs = trace_sources(domain, idx, order)
-    kernels, op, final_level = _adjoint_solve(
-        domain, potential, rhs, schedule, solver_tol, method, max_iter)
+    solver = solver or Solver()
+    kernels, op, final_level = _adjoint_solve(domain, potential, rhs, solver)
     load = load_vector(measure, domain)
-    u = Field(domain, op.solve_load(load, method=method, tol=solver_tol, max_iter=max_iter))
+    u = Field(domain, op.solve_load(load, solver))
     tr = normal_derivative(domain, u, order).values
     paired = kernels.T @ load
 
-    tol = 10.0 * solver_tol * max(1.0, tv)
+    tol = 10.0 * solver.tol * max(1.0, tv)
     cases = []
     for col, a in enumerate(idx):
         left = float(tr[a])
@@ -186,10 +184,7 @@ def inequality_suite(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    schedule: TruncationSchedule | None = None,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
     order: int = 1,
 ) -> VerifyReport:
     """Mass-controlled estimate suite with discretization slack (1 + 5h).
@@ -203,13 +198,11 @@ def inequality_suite(
     if not np.isfinite(tv):
         raise ValueError("inequality suite needs a finite measure")
     slack = 1.0 + SLACK_RATE * domain.h
-    solver_kw = {"solver_tol": solver_tol, "method": method, "max_iter": max_iter}
-    u, diag = solve_truncated_limit(domain, potential, measure, schedule, **solver_kw)
+    u, diag = solve_truncated_limit(domain, potential, measure, solver)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     absorbed = float(np.sum(v_final * np.abs(u.values) * domain.system_weights))
     tr = normal_derivative(domain, u, order)
-    kset = kernel_set(domain, potential, None, schedule, with_reference=True, order=order,
-                      **solver_kw)
+    kset = kernel_set(domain, potential, None, solver, with_reference=True, order=order)
     pos, neg = split_signed(measure, domain)
     pair_abs = kset.pair_measure(pos) + kset.pair_measure(neg)
     fatou = float(np.sum(domain.surface_weights * pair_abs))
@@ -245,13 +238,13 @@ def _trace_extrema(domain: Domain, u: Field, order: int) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _trace_levels(solver: ScheduleSolver, measure: Measure, order: int):
+def _trace_levels(walker: ScheduleSolver, measure: Measure, order: int):
     """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
     taken in the walk itself; a saturated level repeats the previous row."""
-    domain = solver.domain
+    domain = walker.domain
     limit = _L1Limit(domain, 1e-8 * max(total_variation(measure, domain), 1.0))
     rows = []
-    for level, u in solver.walk(load_vector(measure, domain)[:, None]):
+    for level, u in walker.walk(load_vector(measure, domain)[:, None]):
         extrema = (rows[-1][1:] if u is None
                    else _trace_extrema(domain, Field(domain, u[:, 0]), order))
         rows.append((float(level), *extrema))
@@ -264,13 +257,10 @@ def hopf_check(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    schedule: TruncationSchedule | None = None,
+    solver: Solver | None = None,
     refinements: int = 1,
     positive_floor: float = 1e-12,
     positivity_threshold: float = 1e-10,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
     order: int = 1,
 ) -> VerifyReport:
     """Boundary positivity of the schedule-limit trace for nonnegative data.
@@ -290,10 +280,8 @@ def hopf_check(
     if not is_nonnegative(measure, domain):
         raise ValueError("boundary positivity is stated for nonnegative measures")
 
-    mask = positivity_set(
-        domain, potential, schedule, threshold=positivity_threshold,
-        solver_tol=solver_tol, method=method, max_iter=max_iter,
-    )
+    solver = solver or Solver()
+    mask = positivity_set(domain, potential, solver, threshold=positivity_threshold)
     if measure.density is None and measure.atoms:
         outside = []
         for loc, _ in measure.atoms:
@@ -315,8 +303,8 @@ def hopf_check(
     table = []
     cases = []
     for g in grids:
-        solver = ScheduleSolver(g, potential, schedule, solver_tol, method, max_iter)
-        diag, rows = _trace_levels(solver, measure, order)
+        walker = ScheduleSolver(g, potential, solver)
+        diag, rows = _trace_levels(walker, measure, order)
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,
@@ -330,7 +318,7 @@ def hopf_check(
         })
         table.append(RefinementRow(h=g.h, level=diag.final_level, residual=lo))
         cases.append(_case(
-            f"trace_nonnegative_h_{g.h:.6g}", max(-lo, 0.0), solver_tol * 100.0,
+            f"trace_nonnegative_h_{g.h:.6g}", max(-lo, 0.0), solver.tol * 100.0,
             left=lo, right=0.0,
         ))
 
@@ -367,9 +355,7 @@ def hopf_certificate(
     domain: Domain,
     potential: Potential,
     refinements: int = 2,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
     order: int = 1,
 ) -> VerifyReport:
     """Certificate for boundary positivity: the unit-source zero-potential
@@ -393,8 +379,7 @@ def hopf_certificate(
     history = []
     theta = None
     for g in grids:
-        theta = Field(g, assemble(g, zero_potential()).solve_load(
-            load_vector(source, g), method=method, tol=solver_tol, max_iter=max_iter))
+        theta = Field(g, assemble(g, zero_potential()).solve_load(load_vector(source, g), solver))
         history.append(float(np.sum(sample(potential, g) * theta.values * g.volumes)))
     divergent = ladder_diverges(history)
     ratios = [b / a if abs(a) > 0.0 else 1.0 for a, b in zip(history, history[1:])]
@@ -433,11 +418,7 @@ def comparison_check(
     v,
     alpha: float = 0.5,
     epsilon: float | None = None,
-    schedule: TruncationSchedule | None = None,
-    tol: float = 1e-8,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
 ) -> VerifyReport:
     """Lower comparison bound: a nonnegative field dominates the solution whose
     source is the concave clipped power of the field itself, for small enough
@@ -460,17 +441,16 @@ def comparison_check(
         raise ValueError("comparison field must be nonnegative")
     shape = np.minimum(np.maximum(vv, 0.0), 1.0) ** alpha
 
+    solver = solver or Solver()
     zeta, _ = solve_truncated_limit(
-        domain, potential, density_measure(table_density(shape)),
-        schedule, method=method, solver_tol=solver_tol, max_iter=max_iter,
-    )
+        domain, potential, density_measure(table_density(shape)), solver)
     zs = zeta.values
     peak = float(np.max(zs))
 
     def feasible(eps: float) -> bool:
-        return bool(np.all(eps * zs <= vv + tol))
+        return bool(np.all(eps * zs <= vv + COMPARISON_TOL))
 
-    if peak <= solver_tol:
+    if peak <= solver.tol:
         threshold = float("inf")
     else:
         hi = 1.0
@@ -490,8 +470,8 @@ def comparison_check(
     )
     excess = float(np.max(eps_used * zs - vv))
     cases = (
-        _case("domination", max(excess, 0.0), tol, left=excess, right=tol,
-              epsilon=eps_used, alpha=alpha),
+        _case("domination", max(excess, 0.0), COMPARISON_TOL, left=excess,
+              right=COMPARISON_TOL, epsilon=eps_used, alpha=alpha),
         _case("threshold_positive", 0.0 if threshold > 0.0 else 1.0, 0.0,
               left=threshold, right=0.0),
     )
@@ -513,15 +493,13 @@ def energy_check(
     source: Measure,
     n_perturbations: int = 100,
     seed: int = 0,
-    solver_tol: float = DEFAULT_TOL,
-    method: str = "auto",
-    max_iter: int | None = None,
+    solver: Solver | None = None,
 ) -> VerifyReport:
     """The solve minimizes the quadratic energy: random perturbations only
     increase it.  Density sources only."""
     op = assemble(domain, potential)
     load = load_vector(source, domain)
-    u = op.solve_load(load, method=method, tol=solver_tol, max_iter=max_iter)
+    u = op.solve_load(load, solver)
     base = energy(domain, potential, source, u)
     rng = np.random.default_rng(seed)
     worst = 0.0

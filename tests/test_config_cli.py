@@ -95,10 +95,20 @@ def _invalid_texts(key):
     if key.kind in ("int", "float") and key.bound is not None:
         lo, hi = key.bound
         step = 1 if key.kind == "int" else 0
-        texts.append(str(lo - step))
+        texts.append(str(lo - (1 if key.closed_lo else step)))
         if np.isfinite(hi):
             texts.append(str(hi + step))
     return texts
+
+
+def _edge_texts(key):
+    """The closed edges of the key's bound, which its parser must accept."""
+    if key.kind not in ("int", "float") or key.bound is None:
+        return []
+    lo, hi = key.bound
+    if key.kind == "float":
+        return [str(lo)] if key.closed_lo else []
+    return [str(lo)] + ([str(hi)] if np.isfinite(hi) else [])
 
 
 PARSED_KEYS = [k for k in KEYS.values() if k.kind != "text"]
@@ -109,6 +119,9 @@ def test_every_key_rejects_invalid_values(key):
     for text in _invalid_texts(key):
         with pytest.raises(ConfigError, match=re.escape(f"config key {key.name!r}")):
             config_from_pairs(CONTEXT.get(key.name, []) + [(key.name, text)])
+    for text in _edge_texts(key):
+        cfg = config_from_pairs(CONTEXT.get(key.name, []) + [(key.name, text)])
+        assert cfg[key.name] == key.parse(text)
 
 
 @pytest.mark.parametrize("key", KEYS.values(), ids=list(KEYS))
@@ -161,9 +174,8 @@ def test_config_atom_dimension_checked():
     ])
     m = cfg.build_measure(cfg.build_domain())
     assert len(m.atoms) == 1
-    bad = config_from_pairs([("measure.atom", "0.1,0.2,1.0")])  # 2d atom, 1d domain
-    with pytest.raises(ConfigError, match="measure.atom"):
-        bad.build_measure(bad.build_domain())
+    with pytest.raises(ConfigError, match="measure.atom"):  # 2d atom, 1d domain
+        config_from_pairs([("measure.atom", "0.1,0.2,1.0")])
 
 
 def test_env_overrides():
@@ -339,20 +351,34 @@ def test_cli_format_flag_csv_only(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["key", "env"])
-def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, via_env):
-    text = "domain.kind = interval\ndomain.n = 32\nsolver.method = cg\nmeasure.atom = 0.5,1.0\n"
+CHECKS = KEYS["checks"].bound
+
+
+@pytest.mark.parametrize("command,checks,via_env", [
+    ("solve", None, False),
+    ("solve", None, True),
+    *[("verify", check, False) for check in CHECKS],
+    ("kernel", None, False),
+], ids=["key", "env", *[f"verify-{check}" for check in CHECKS], "kernel"])
+def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, checks, via_env):
+    """Every solve of every command goes through the config's solver settings."""
+    text = "domain.kind = interval\ndomain.n = 32\nsolver.method = cg\n"
+    # energy takes density sources only; the other checks take the atom
+    text += ("measure.density = uniform\n" if checks == "energy"
+             else "measure.atom = 0.5,1.0\n")
+    if checks is not None:
+        text += f"checks = {checks}\n"
     if via_env:
         monkeypatch.setenv("STL_SOLVER_MAX_ITER", "1")
     else:
         text += "solver.max_iter = 1\n"
     cfg = write(tmp_path, text)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "did not converge in 1 iterations" in capsys.readouterr().err
     # without the cap the same run converges
     monkeypatch.delenv("STL_SOLVER_MAX_ITER", raising=False)
     cfg = write(tmp_path, text.replace("solver.max_iter = 1\n", ""))
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("text,key", [
@@ -364,6 +390,22 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, via_env):
 ], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform"])
 def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ("domain.kind = interval\nmeasure.atom = 0.5,1.0\n"
+     "potential.family = interior_singularity\npotential.x0 = 0.3,0.2\n", "potential.x0"),
+    ("domain.kind = disk\nmeasure.atom = 0.0,0.0,1.0\n"
+     "potential.family = interior_singularity\npotential.x0 = 0.1\n", "potential.x0"),
+    ("measure.atom = 0.5,1.0\npotential.family = constant\npotential.value = -1\n",
+     "potential.value"),
+    ("measure.atom = 0.5,1.0\npotential.family = power_distance\npotential.scale = -1\n",
+     "potential.scale"),
+], ids=["x0-interval", "x0-disk", "value-negative", "scale-negative"])
+def test_cli_invalid_potential_parameter_exits_two(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, text + "checks = representation\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert repr(key) in capsys.readouterr().err
 

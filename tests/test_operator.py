@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from stlab import (
     Measure,
+    Solver,
     TruncationSchedule,
     assemble,
     build_disk,
@@ -19,12 +20,15 @@ from stlab import (
     solve_dirichlet,
     solve_truncated_limit,
     table_potential,
+    truncation_kernels,
     uniform_density,
     zero_potential,
 )
 from stlab.measure import load_vector, total_variation
 from stlab.operator import SolverError
 from stlab.potential import PotentialError
+
+CAPPED_CG = Solver(method="cg", max_iter=1)
 
 
 def test_assemble_1d_stencil():
@@ -121,15 +125,24 @@ def test_absorption_bounded_by_mass(x0, c):
 def test_cg_matches_direct(interval64):
     load = load_vector(dirac([0.37]) + density_measure(uniform_density(1.0)), interval64)
     op = assemble(interval64, constant_potential(1.0))
-    x_direct = op.solve_load(load, method="direct")
-    x_cg = op.solve_load(load, method="cg")
+    x_direct = op.solve_load(load, Solver(method="direct"))
+    x_cg = op.solve_load(load, Solver(method="cg"))
     np.testing.assert_allclose(x_cg, x_direct, atol=1e-8)
 
 
 def test_cg_iteration_cap_raises(interval64):
     op = assemble(interval64, zero_potential())
     with pytest.raises(SolverError, match="residual"):
-        op.solve_load(np.ones(interval64.n_interior), method="cg", max_iter=1)
+        op.solve_load(np.ones(interval64.n_interior), Solver(method="cg", max_iter=1))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda d: solve_dirichlet(d, zero_potential(), dirac([0.5]), solver=CAPPED_CG),
+    lambda d: truncation_kernels(d, power_distance_potential(1.5), 0, CAPPED_CG),
+], ids=["solve_dirichlet", "truncation_kernels"])
+def test_cg_iteration_cap_reaches_library_solves(interval64, solve):
+    with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+        solve(interval64)
 
 
 def test_schedule_saturates_for_bounded_potential(interval64):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import (
+    Solver,
     TruncationSchedule,
+    build_disk,
     build_interval,
     constant_potential,
     interior_singularity_potential,
@@ -34,10 +36,11 @@ def test_sample_inverse_distance():
 def test_truncate_caps_values():
     # the schedule solves level k with min(V, k)
     d = build_interval(10)
-    solver = ScheduleSolver(d, power_distance_potential(1.0), TruncationSchedule(J=2))
-    levels = [level for level, _ in solver.walk(np.ones(d.n_interior))]
+    solver = Solver(schedule=TruncationSchedule(J=2))
+    walker = ScheduleSolver(d, power_distance_potential(1.0), solver)
+    levels = [level for level, _ in walker.walk(np.ones(d.n_interior))]
     assert levels == [1.0, 2.0, 4.0]
-    v = solver.operator.v_values
+    v = walker.operator.v_values
     # node at d = 0.1 holds min(10, 4)
     assert v[0] == pytest.approx(4.0)
     assert np.all(v <= 4.0 + 1e-15)
@@ -111,6 +114,15 @@ def test_interior_singularity_off_node_is_finite():
     v = sample(interior_singularity_potential([1 / 3], 2.0), d)
     assert np.all(np.isfinite(v))
     assert np.all(v >= 0)
+
+
+@pytest.mark.parametrize("x0,disk", [([0.3, 0.2], False), ([0.1], True)],
+                         ids=["2d-on-interval", "1d-on-disk"])
+def test_interior_singularity_rejects_wrong_dimension(x0, disk):
+    # a scalar x0 would broadcast to the point (x0, x0) on the disk
+    d = build_disk(8) if disk else build_interval(16)
+    with pytest.raises(PotentialError, match="x0"):
+        sample(interior_singularity_potential(x0, 2.0), d)
 
 
 def test_schedule_levels():
