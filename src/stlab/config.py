@@ -29,7 +29,7 @@ from .measure import (
     power_distance_density,
     uniform_density,
 )
-from .operator import Solver
+from .operator import METHODS, Solver
 from .potential import (
     Potential,
     TruncationSchedule,
@@ -160,7 +160,7 @@ KEYS = {key.name: key for key in (
     Key("schedule.j", "int", (1, np.inf), 14),
     Key("schedule.base", "float", (1.0, np.inf), 2.0),
     Key("solver.tol", "float", (0.0, np.inf), 1e-10),
-    Key("solver.method", "choice", ("auto", "direct", "cg"), "auto"),
+    Key("solver.method", "choice", METHODS, "auto"),
     Key("solver.max_iter", "int", (1, np.inf)),
     Key("trace.order", "int", (1, 2), 1),
     Key("checks", "choices", ("representation", "inequalities", "hopf", "hopf_certificate",

@@ -10,9 +10,21 @@ adjoint solve used by duality kernels is a plain solve with K.
 
 Solves default to a cached sparse LU factorization (one factorization serves
 every right-hand side, which kernel sets rely on); conjugate gradients with a
-Jacobi preconditioner is available as ``method="cg"``.  Both paths enforce the
-relative-residual postcondition.  A ``Solver`` value carries the settings of
-every solve of a run: tolerance, method, iteration cap and truncation schedule.
+Jacobi preconditioner is available as ``method="cg"``.  A ``Solver`` value
+carries the settings of every solve of a run: tolerance, method, iteration cap
+and truncation schedule.
+
+A truncation-schedule walk with at most ``PCG_COLUMNS`` load columns and a
+direct solve factors only its first level.  Since ``min(V,k) <= min(V,2k) <=
+2 min(V,k)``, that factor is a spectrally equivalent preconditioner for the
+later levels, which the walk solves by conjugate gradients warm-started from
+the previous level's solution.  A level whose PCG misses ``PCG_BUDGET``
+iterations is factored afresh and preconditions the levels after it; the
+stale factor is dropped first, so the walk holds at most one.  A level whose
+factor an operator cache already holds is solved with it directly.  Walks
+with more columns factor every level: there a many-column triangular solve
+costs more than a refactorization.  Every path enforces the relative-residual
+postcondition.
 """
 
 from __future__ import annotations
@@ -31,6 +43,9 @@ from .potential import Potential, PotentialError, TruncationSchedule, sample
 
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
+METHODS = ("auto", "direct", "cg")
+PCG_COLUMNS = 2  # walks with more load columns factor every level
+PCG_BUDGET = 30  # PCG iterations per column before a walk refactors
 
 
 class SolverError(RuntimeError):
@@ -47,6 +62,22 @@ class Solver:
     method: str = "auto"
     max_iter: int | None = None
     schedule: TruncationSchedule = TruncationSchedule()
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"solver tol must be finite and > 0, got {self.tol!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"solver method must be one of {', '.join(METHODS)}, "
+                             f"got {self.method!r}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"solver max_iter must be None or >= 1, got {self.max_iter!r}")
+
+
+def _direct(solver: Solver, domain: Domain) -> bool:
+    """Whether ``solver`` factors on ``domain``: "auto" does up to DIRECT_LIMIT unknowns."""
+    if solver.method == "auto":
+        return domain.n_interior <= DIRECT_LIMIT
+    return solver.method == "direct"
 
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
@@ -86,27 +117,39 @@ class DiscreteOperator:
         """Solve K u = load for one or many (columns) integrated right-hand sides."""
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
-        method = solver.method
-        if method == "auto":
-            method = "direct" if self.domain.n_interior <= DIRECT_LIMIT else "cg"
-        if method == "direct":
+        if _direct(solver, self.domain):
             if self._lu is None:
                 self._lu = spla.splu(self.system)
             u = self._lu.solve(load)
-        elif method == "cg":
-            u = self._solve_cg(load, solver)
         else:
-            raise SolverError(f"unknown solver method {method!r}")
+            max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
+            u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
         self._check_residual(u, load, solver.tol)
         return u
 
-    def _solve_cg(self, load: np.ndarray, solver: Solver) -> np.ndarray:
-        precond = sp.diags(1.0 / self.system.diagonal())
-        max_iter = solver.max_iter or 10 * self.domain.n_interior
+    def solve_pcg(self, load: np.ndarray, solver: Solver, lu,
+                  guess: np.ndarray) -> np.ndarray | None:
+        """Solve K u = load by CG preconditioned with ``lu``, the LU factor of
+        a nearby operator, starting from ``guess``; None when a column misses
+        PCG_BUDGET iterations.  It stops at 1e-2 * solver.tol, well inside the
+        residual check."""
+        precond = spla.LinearOperator(self.system.shape, matvec=lu.solve, dtype=float)
+        try:
+            u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
+        except SolverError:
+            return None
+        self._check_residual(u, load, solver.tol)
+        return u
+
+    def _cg(self, load: np.ndarray, precond, max_iter: int, rtol: float,
+            guess: np.ndarray | None = None) -> np.ndarray:
+        """Preconditioned CG column by column, from ``guess`` (default zero);
+        raises SolverError when a column misses ``max_iter`` iterations."""
         cols = load.reshape(load.shape[0], -1)
+        starts = np.zeros_like(cols) if guess is None else guess.reshape(cols.shape)
         out = np.empty_like(cols)
         for j in range(cols.shape[1]):
-            x, info = spla.cg(self.system, cols[:, j], rtol=solver.tol, atol=0.0,
+            x, info = spla.cg(self.system, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
                               maxiter=max_iter, M=precond)
             if info != 0:
                 r = np.linalg.norm(self.system @ x - cols[:, j]) / max(np.linalg.norm(cols[:, j]), 1e-300)
@@ -180,10 +223,13 @@ class ScheduleSolver:
     """The truncation-schedule engine: one pass over the levels k of the
     solver's schedule, solving with min(V, k) at each.
 
-    The walk holds only the current level's operator, so an uncached grid
-    keeps at most one LU factor alive.  Stop rules belong to the consumers,
-    which end the walk by leaving the loop; ``operator`` is then the
-    operator of the last level solved.
+    A walk of at most PCG_COLUMNS load columns with a direct solve factors
+    one level and solves the later ones by PCG on that factor (see the
+    module docstring); a wider walk factors every level.  Either way it
+    keeps at most one LU factor alive on an uncached grid.  Stop rules belong
+    to the consumers, which end the walk by leaving the loop; ``operator`` is
+    then the operator of the last level solved, factored only if that level
+    was.
     """
 
     def __init__(self, domain: Domain, potential: Potential, solver: Solver | None = None):
@@ -199,16 +245,28 @@ class ScheduleSolver:
         discrete problem is unchanged, so it is yielded with solution None,
         and so is every level after it (the sample lies below all of them).
         """
+        load = np.asarray(load, dtype=float)
+        precondition = (load.reshape(len(load), -1).shape[1] <= PCG_COLUMNS
+                        and _direct(self.solver, self.domain))
         full = sample(self.potential, self.domain)
         prev = None
+        u = None
+        factored = None  # the operator whose factor preconditions the later levels
         for level in self.solver.schedule.levels():
             vals = np.minimum(full, level)
             if prev is not None and np.array_equal(vals, prev):
                 yield level, None
                 continue
-            # rebinding drops the previous level's factor before this one is made
-            self.operator = _operator_for(self.domain, vals, f"min({self.potential.label},{level:g})")
-            yield level, self.operator.solve_load(load, self.solver)
+            # rebinding drops the previous level's operator, and on a wide walk its factor
+            label = f"min({self.potential.label},{level:g})"
+            self.operator = op = _operator_for(self.domain, vals, label)
+            pcg = factored is not None and op._lu is None
+            u = op.solve_pcg(load, self.solver, factored._lu, u) if pcg else None
+            if u is None:
+                factored = None  # the stale factor goes before splu makes the next
+                u = op.solve_load(load, self.solver)
+                factored = op if precondition else None
+            yield level, u
             prev = vals
 
 

@@ -1,5 +1,10 @@
+import weakref
+
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import settings, HealthCheck
+
+from stlab.operator import DiscreteOperator
 
 # solves inside property bodies are slow; never enforce per-example deadlines
 settings.register_profile(
@@ -27,3 +32,25 @@ def disk8():
 def rect16():
     from stlab import build_rectangle
     return build_rectangle(16)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Keys of the matrices passed to splu, one per call, and for each call
+    the number of other operators then holding a factorization."""
+    calls, live_factored = [], []
+    ops = weakref.WeakSet()
+    real_splu, real_init = spla.splu, DiscreteOperator.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        ops.add(self)
+
+    def splu(A, *args, **kwargs):
+        calls.append((A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()))
+        live_factored.append(sum(op._lu is not None for op in ops))
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(DiscreteOperator, "__init__", init)
+    monkeypatch.setattr(spla, "splu", splu)
+    return calls, live_factored

@@ -6,15 +6,18 @@ from hypothesis import given, strategies as st
 
 from stlab import (
     Measure,
+    ScheduleSolver,
     Solver,
     TruncationSchedule,
     assemble,
     build_disk,
     build_interval,
+    build_rectangle,
     constant_potential,
     density_measure,
     dirac,
     energy,
+    kernel_set,
     power_distance_potential,
     sample,
     solve_dirichlet,
@@ -24,8 +27,10 @@ from stlab import (
     uniform_density,
     zero_potential,
 )
+from stlab import operator as operator_module
+from stlab.kernel import trace_sources
 from stlab.measure import load_vector, total_variation
-from stlab.operator import SolverError
+from stlab.operator import DiscreteOperator, SolverError, cached_operators
 from stlab.potential import PotentialError
 
 CAPPED_CG = Solver(method="cg", max_iter=1)
@@ -143,6 +148,97 @@ def test_cg_iteration_cap_raises(interval64):
 def test_cg_iteration_cap_reaches_library_solves(interval64, solve):
     with pytest.raises(SolverError, match="did not converge in 1 iterations"):
         solve(interval64)
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1.0}, "tol"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": float("inf")}, "tol"),
+    ({"method": "lu"}, "method"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": -5}, "max_iter"),
+], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "method-unknown",
+        "max_iter-zero", "max_iter-negative"])
+def test_solver_rejects_invalid_settings(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        Solver(**kwargs)
+
+
+WALK_CASES = {
+    "rect16-atom": (lambda: build_rectangle(16), [[0.4, 0.55]]),
+    "rect16-signed": (lambda: build_rectangle(16), [[0.4, 0.55], [0.7, 0.3]]),
+    "disk8-atom": (lambda: build_disk(8), [[0.2, -0.1]]),
+    "disk8-signed": (lambda: build_disk(8), [[0.2, -0.1], [-0.3, 0.25]]),
+}
+
+
+def _walk(name, factorizations):
+    """Every level the walk solves beside a fresh direct solve; returns the
+    number of levels solved and the factorizations the walk made."""
+    build, atoms = WALK_CASES[name]
+    d = build()
+    pot = power_distance_potential(1.5)
+    # a signed pair reaches the walk as its two nonnegative parts, two columns
+    load = np.column_stack([load_vector(dirac(x), d) for x in atoms])
+    solved = [(level, u) for level, u in ScheduleSolver(d, pot).walk(load) if u is not None]
+    calls, live_factored = factorizations
+    walk_factorizations = len(calls)
+    # the walk drops its stale factor before it makes the next
+    assert live_factored == [0] * walk_factorizations
+    full = sample(pot, d)
+    for level, u in solved:
+        ref = DiscreteOperator(d, np.minimum(full, level)).solve_load(load)
+        np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+    return len(solved), walk_factorizations
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_walk_pcg_levels_match_direct(name, factorizations):
+    levels, walk_factorizations = _walk(name, factorizations)
+    assert levels > 2
+    assert walk_factorizations == 1
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch):
+    monkeypatch.setattr(operator_module, "PCG_BUDGET", 1)
+    levels, walk_factorizations = _walk(name, factorizations)
+    assert walk_factorizations == levels
+
+
+def test_wide_kernel_walk_factors_every_level(factorizations, monkeypatch):
+    calls, _ = factorizations
+    solved = []
+    real_walk = ScheduleSolver.walk
+
+    def walk(self, load):
+        for level, u in real_walk(self, load):
+            if u is not None:
+                solved.append(u.shape[1])
+            yield level, u
+
+    monkeypatch.setattr(ScheduleSolver, "walk", walk)
+    d = build_disk(32)
+    kernel_set(d, power_distance_potential(1.5), with_reference=False)
+    assert len(solved) > 2 and set(solved) == {128}
+    assert len(calls) == len(solved)
+
+
+def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
+    calls, _ = factorizations
+    pcg = []
+    real_pcg = DiscreteOperator.solve_pcg
+    monkeypatch.setattr(DiscreteOperator, "solve_pcg",
+                        lambda self, *args: pcg.append(self) or real_pcg(self, *args))
+    d = build_disk(8)
+    pot = power_distance_potential(1.5)
+    with cached_operators(d):
+        wide = [u for _, u in ScheduleSolver(d, pot).walk(trace_sources(d)) if u is not None]
+        narrow = [u for _, u in ScheduleSolver(d, pot).walk(load_vector(dirac([0.2, -0.1]), d))
+                  if u is not None]
+    assert len(narrow) == len(wide) == len(calls) > 2
+    assert pcg == []
 
 
 def test_schedule_saturates_for_bounded_potential(interval64):
