@@ -63,6 +63,7 @@ class Domain:
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
     _operators: dict | None = field(default=None, init=False, repr=False)
+    _adjoints: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # the stiffness matrix and the operator caches are built from these

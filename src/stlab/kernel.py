@@ -13,10 +13,20 @@ Singular potentials go through the truncation schedule: the kernels decrease
 nodewise with the level, and the run stops when the decrease falls below
 1e-8 times the first-level peak, or when truncation stops changing the
 sampled potential (the levels have passed its grid maximum).
+
+Inside ``cached_operators(domain)`` the adjoint solve is memoized as well, so
+checks that need the kernels of the same sources (``representation`` and
+``inequalities`` with every boundary node sampled) share one walk.  The key
+holds every input of the result: the SHA-256 digest and shape of the sources,
+the sampled potential, its bound (a bounded potential takes one solve, not the
+walk) and the ``Solver``.  A memoized kernel array is read-only, so no
+consumer can change what a later one reads.
 """
 
 from __future__ import annotations
 
+import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +41,7 @@ from .operator import (
     assemble,
     solve_truncated_limit,
 )
-from .potential import Potential, zero_potential
+from .potential import Potential, sample, zero_potential
 from .trace import trace_matrix
 
 DEGENERACY_FACTOR = 1e-10
@@ -42,9 +52,13 @@ def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
     """Normalize a boundary sample selection to an index array (None = all)."""
     if samples is None:
         return np.arange(domain.n_boundary)
-    idx = np.atleast_1d(np.asarray(samples, dtype=int))
-    if idx.ndim != 1 or idx.size == 0:
+    entries = np.atleast_1d(np.asarray(samples, dtype=object))
+    if entries.ndim != 1 or entries.size == 0:
         raise DomainError("boundary samples must be a nonempty list of indices")
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"boundary sample index must be an integer, got {v!r}")
+    idx = entries.astype(int)
     if np.any(idx < 0) or np.any(idx >= domain.n_boundary):
         raise DomainError("boundary sample index out of range")
     return idx
@@ -123,7 +137,28 @@ def _adjoint_solve(domain: Domain, potential: Potential, rhs: np.ndarray,
                    solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Kernels of the adjoint sources ``rhs``: one solve for a bounded
     potential, the schedule limit otherwise.  Returns the kernels, the
-    operator that produced them and its truncation level."""
+    operator that produced them and its truncation level.
+
+    Inside ``cached_operators(domain)`` the result is memoized (see the
+    module docstring).  The sources enter the key as a digest: keeping them
+    alive would cost as much memory as the kernels.
+    """
+    solver = solver or Solver()
+    memo = domain._adjoints
+    if memo is None:
+        return _adjoint_run(domain, potential, rhs, solver)
+    key = (hashlib.sha256(np.ascontiguousarray(rhs)).digest(), rhs.shape,
+           sample(potential, domain).tobytes(), potential.bound, solver)
+    if key not in memo:
+        P, op, level = _adjoint_run(domain, potential, rhs, solver)
+        P.flags.writeable = False
+        memo[key] = P, op, level
+    return memo[key]
+
+
+def _adjoint_run(domain: Domain, potential: Potential, rhs: np.ndarray,
+                 solver: Solver) -> tuple[np.ndarray, DiscreteOperator, float]:
+    """The solve behind ``_adjoint_solve``, never memoized."""
     if potential.is_bounded():
         op = assemble(domain, potential)
         P = op.solve_load(rhs, solver)

@@ -186,14 +186,21 @@ def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
     sample, among all solves on ``domain`` inside the block; dropped on exit.
 
+    The block also shares adjoint kernels: ``kernel._adjoint_solve`` keeps
+    its read-only result, keyed by the digest and shape of the adjoint
+    sources, the potential sample and bound, and the ``Solver``, so two
+    checks that need the same kernels walk the schedule once.
+
     Only a grid that several computations solve on gains: on a grid built
     for one schedule walk the cache would hold factors nobody reuses.
     """
     domain._operators = {}
+    domain._adjoints = {}
     try:
         yield
     finally:
         domain._operators = None
+        domain._adjoints = None
 
 
 def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:

@@ -1,14 +1,20 @@
 """Factorization counts: at most one LU factorization per distinct operator,
-and one per few-column schedule walk.
+and one per few-column schedule walk; one all-node kernel walk per verify run.
 
 ``scipy.sparse.linalg.splu`` is wrapped to count factorizations; a distinct
 matrix is a distinct (grid, truncated potential) pair.
 """
 
+import os
+
 import pytest
 
 from stlab import dirac, power_distance_potential, solve_truncated_limit
+from stlab import kernel as kernel_module
 from stlab.cli import main
+from stlab.config import load_config
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
 
 def test_verify_factors_each_distinct_operator_once(tmp_path, factorizations):
@@ -36,3 +42,20 @@ def test_truncated_limit_factors_once_per_walk(rect16, factorizations, weights):
     # the first level's factor preconditions every later level
     assert len(calls) == 1
     assert live_factored == [0] * len(calls)
+
+
+def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
+    # representation and inequalities share the kernels of every boundary node
+    cfg = os.path.join(GOLDEN, "verify_disk.cfg")
+    run_cfg = load_config(cfg)
+    assert {"representation", "inequalities"} <= set(run_cfg["checks"])
+    widths = []
+    real_run = kernel_module.schedule_kernel_run
+
+    def run(walker, rhs, *args, **kwargs):
+        widths.append(rhs.shape[1])
+        return real_run(walker, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "schedule_kernel_run", run)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert widths.count(run_cfg.build_domain().n_boundary) == 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import (
+    Solver,
     TruncationSchedule,
     assemble,
     build_disk,
@@ -19,16 +20,22 @@ from stlab import (
     normal_derivative,
     positivity_set,
     power_distance_potential,
+    sample,
     solve_dirichlet,
     table_density,
+    table_potential,
     truncation_kernels,
+    uniform_density,
     zero_potential,
 )
 from test_config_cli import read_csv, write
 
+from stlab import kernel as kernel_module
 from stlab.cli import main
-from stlab.kernel import kernel_summary
+from stlab.domain import DomainError
+from stlab.kernel import kernel_summary, resolve_samples
 from stlab.measure import load_vector
+from stlab.operator import DiscreteOperator, cached_operators
 
 
 def test_interval_harmonic_kernel_closed_form(interval64):
@@ -257,3 +264,87 @@ def test_disk_kernel_reflection_symmetry():
 def test_duality_kernel_validates_boundary_index(interval64):
     with pytest.raises(Exception):
         duality_kernel(interval64, zero_potential(), 99)
+
+
+def test_resolve_samples_rejects_non_integer_indices(interval64):
+    np.testing.assert_array_equal(resolve_samples(interval64, np.array([1, 0])), [1, 0])
+    for samples, shown in (([1.7], "1.7"), ([True, False], "True"), ([0, 1.0], "1.0")):
+        with pytest.raises(DomainError, match=f"must be an integer, got {shown}"):
+            resolve_samples(interval64, samples)
+
+
+@pytest.fixture
+def adjoint_work(monkeypatch):
+    """Counts of kernel schedule walks and operator solves."""
+    counts = {"walks": 0, "solves": 0}
+    real_run, real_solve = kernel_module.schedule_kernel_run, DiscreteOperator.solve_load
+
+    def run(*args, **kwargs):
+        counts["walks"] += 1
+        return real_run(*args, **kwargs)
+
+    def solve(self, *args, **kwargs):
+        counts["solves"] += 1
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "schedule_kernel_run", run)
+    monkeypatch.setattr(DiscreteOperator, "solve_load", solve)
+    return counts
+
+
+MEMO_POTENTIAL = power_distance_potential(1.5)
+
+
+def test_operator_scope_shares_adjoint_kernels(adjoint_work):
+    d = build_disk(8)
+    uncached = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+    with cached_operators(d):
+        first = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+        adjoint_work.update(walks=0, solves=0)
+        second = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+        assert adjoint_work == {"walks": 0, "solves": 0}
+        assert second is first
+        with pytest.raises(ValueError):
+            second[0, 0] = 1.0
+    for kernels in (first, second):
+        assert kernels.tobytes() == uncached.tobytes()
+    # nothing outlives the scope: a second one walks again
+    with cached_operators(d):
+        kernel_set(d, MEMO_POTENTIAL, with_reference=False)
+    assert adjoint_work["walks"] == 1
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: {"samples": [0, 1]},
+    lambda d: {"order": 2},
+    lambda d: {"solver": Solver(tol=1e-9)},
+    lambda d: {"solver": Solver(schedule=TruncationSchedule(J=8))},
+    lambda d: {"potential": power_distance_potential(2.0)},
+    # the same sample, but bounded: one solve, not the schedule limit
+    lambda d: {"potential": table_potential(sample(MEMO_POTENTIAL, d))},
+], ids=["samples", "order", "tol", "schedule", "alpha", "bounded"])
+def test_adjoint_memo_misses_on_any_changed_input(adjoint_work, change):
+    d = build_disk(8)
+    args = {"potential": MEMO_POTENTIAL, "samples": None, "solver": None, "order": 1}
+    changed = {**args, **change(d)}
+    with cached_operators(d):
+        kernel_set(d, with_reference=False, **args)
+        adjoint_work.update(walks=0, solves=0)
+        kernel_set(d, with_reference=False, **changed)
+    assert adjoint_work["solves" if changed["potential"].is_bounded() else "walks"] == 1
+
+
+@given(st.sampled_from(["interval32", "rect12", "disk8"]),
+       st.floats(min_value=0.0, max_value=50.0),
+       st.integers(min_value=0, max_value=10_000))
+def test_kernel_l1_norms_are_unit_density_traces(grid, c, seed):
+    # P_a >= 0, so |P_a| paired with the volumes is the unit density's flux at a
+    d = {"interval32": lambda: build_interval(32), "rect12": lambda: build_rectangle(12),
+         "disk8": lambda: build_disk(8)}[grid]()
+    pot = constant_potential(c)
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.choice(d.n_boundary, size=min(3, d.n_boundary), replace=False))
+    u = solve_dirichlet(d, pot, density_measure(uniform_density(1.0)))
+    trace = normal_derivative(d, u).values[idx]
+    l1 = kernel_set(d, pot, idx, with_reference=False).l1_norms()
+    np.testing.assert_allclose(l1, trace, rtol=1e-12, atol=0.0)

@@ -22,6 +22,7 @@ from stlab import (
     sample,
     solve_dirichlet,
     solve_truncated_limit,
+    split_signed,
     table_potential,
     truncation_kernels,
     uniform_density,
@@ -266,6 +267,24 @@ def test_hardy_potential_suppresses_solution():
     i = int(np.argmin(np.abs(x - 0.5)))
     assert u.values[i] < 0.25
     assert u.values[i] < u0.values[i]
+
+
+@given(st.sampled_from(["interval32", "rect12"]), st.floats(min_value=0.5, max_value=3.0),
+       st.integers(min_value=0, max_value=10_000))
+def test_signed_walk_columns_are_monotone(grid, alpha, seed):
+    # each nonnegative part of a signed measure is its own monotone limit
+    d = build_interval(32) if grid == "interval32" else build_rectangle(12)
+    rng = np.random.default_rng(seed)
+    locs = rng.uniform(0.1, 0.9, size=(2, d.dim))
+    mu = dirac(locs[0], rng.uniform(0.1, 2.0)) + dirac(locs[1], -rng.uniform(0.1, 2.0))
+    load = np.column_stack([load_vector(p, d) for p in split_signed(mu, d)])
+    prev = None
+    for _, u in ScheduleSolver(d, power_distance_potential(alpha)).walk(load):
+        if u is None:
+            break
+        if prev is not None:
+            assert np.all(u <= prev + 1e-9)
+        prev = u
 
 
 def test_schedule_limit_splits_signed_measure(interval64):
