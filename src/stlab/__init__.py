@@ -45,7 +45,6 @@ from .potential import (
 )
 from .operator import (
     DiscreteOperator,
-    ScheduleSolver,
     Solver,
     SolverError,
     TruncationDiagnostics,
@@ -95,7 +94,6 @@ __all__ = [
     "Potential",
     "PotentialError",
     "RunConfig",
-    "ScheduleSolver",
     "Solver",
     "SolverError",
     "TruncationDiagnostics",

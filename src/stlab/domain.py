@@ -158,14 +158,9 @@ class Domain:
             w.append(wr * fj)
         return np.array(idx, dtype=int), np.array(w)
 
-    def refine(self, factor: int = 2) -> "Domain":
-        if factor < 2:
-            raise DomainError("refinement factor must be >= 2")
-        if self.kind == "interval":
-            return build_interval(self.resolution["n"] * factor)
-        if self.kind == "rectangle":
-            return build_rectangle(self.resolution["n"] * factor)
-        return build_disk(self.resolution["nr"] * factor, self.resolution["ntheta"] * factor)
+    def refine(self) -> "Domain":
+        """The same domain with every resolution doubled."""
+        return build_domain(self.kind, **{k: 2 * v for k, v in self.resolution.items()})
 
 
 def _axis_pairs(pos: float, n_nodes: int) -> list[tuple[int, float]]:

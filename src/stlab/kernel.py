@@ -14,18 +14,19 @@ nodewise with the level, and the run stops when the decrease falls below
 1e-8 times the first-level peak, or when truncation stops changing the
 sampled potential (the levels have passed its grid maximum).
 
-Inside ``cached_operators(domain)`` the adjoint solve is memoized as well, so
-checks that need the kernels of the same sources (``representation`` and
-``inequalities`` with every boundary node sampled) share one walk.  The key
-holds every input of the result: the SHA-256 digest and shape of the sources,
-the sampled potential, its bound (a bounded potential takes one solve, not the
-walk) and the ``Solver``.  A memoized kernel array is read-only, so no
-consumer can change what a later one reads.
+Every adjoint solve goes through ``DiscreteOperator.solve_load``, one level
+of the schedule walk at a time.  Inside ``cached_operators(domain)`` it is
+memoized as well, so checks that need the kernels of the same boundary nodes
+(``representation`` and ``inequalities`` with every node sampled) share one
+walk.  The key holds every input of the result: the sample indices and trace
+order (they determine the adjoint sources), the sampled potential, its bound
+(a bounded potential takes one solve, not the walk) and the ``Solver``.  A
+memoized kernel array is read-only, so no consumer can change what a later
+one reads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass
 
@@ -34,13 +35,7 @@ import numpy as np
 from .domain import Domain, DomainError
 from .fields import Field
 from .measure import Measure, density_measure, load_vector, uniform_density
-from .operator import (
-    DiscreteOperator,
-    ScheduleSolver,
-    Solver,
-    assemble,
-    solve_truncated_limit,
-)
+from .operator import DiscreteOperator, Solver, assemble, solve_truncated_limit, walk
 from .potential import Potential, sample, zero_potential
 from .trace import trace_matrix
 
@@ -97,25 +92,25 @@ class KernelSet:
 
 
 def schedule_kernel_run(
-    walker: ScheduleSolver,
+    domain: Domain,
+    potential: Potential,
     rhs: np.ndarray,
+    solver: Solver | None = None,
     stop_early: bool = True,
     collect: list | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Solve the adjoint system along the schedule; returns the last level's
-    kernels and that level.  ``collect`` receives the kernel array of every
-    level run.
+    kernels, its operator and its level.  ``collect`` receives the kernel
+    array of every level run.
 
     Saturated levels (truncation no longer changes the sampled potential) reuse
     the previous solution: the discrete problem is identical, so recomputing
     could only add factorization noise.  Without ``stop_early`` the walk runs
     the whole schedule, past convergence and saturation.
     """
-    prev = None
-    final_level = None
-    scale = None
+    prev = op = final_level = scale = None
     converged = False
-    for level, P in walker.walk(rhs):
+    for level, op, P in walk(domain, potential, rhs, solver):
         if P is None:
             if stop_early:
                 break
@@ -130,42 +125,35 @@ def schedule_kernel_run(
         prev = P
         if converged and stop_early:
             break
-    return prev, final_level
+    return prev, op, final_level
 
 
-def _adjoint_solve(domain: Domain, potential: Potential, rhs: np.ndarray,
+def _adjoint_solve(domain: Domain, potential: Potential, idx: np.ndarray, order: int,
                    solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
-    """Kernels of the adjoint sources ``rhs``: one solve for a bounded
-    potential, the schedule limit otherwise.  Returns the kernels, the
-    operator that produced them and its truncation level.
+    """Kernels of the boundary nodes ``idx`` for the trace of ``order``: one
+    solve for a bounded potential, the schedule limit otherwise.  Returns the
+    kernels, the operator that produced them and its truncation level.
 
     Inside ``cached_operators(domain)`` the result is memoized (see the
-    module docstring).  The sources enter the key as a digest: keeping them
-    alive would cost as much memory as the kernels.
+    module docstring).
     """
     solver = solver or Solver()
     memo = domain._adjoints
-    if memo is None:
-        return _adjoint_run(domain, potential, rhs, solver)
-    key = (hashlib.sha256(np.ascontiguousarray(rhs)).digest(), rhs.shape,
-           sample(potential, domain).tobytes(), potential.bound, solver)
-    if key not in memo:
-        P, op, level = _adjoint_run(domain, potential, rhs, solver)
-        P.flags.writeable = False
-        memo[key] = P, op, level
-    return memo[key]
-
-
-def _adjoint_run(domain: Domain, potential: Potential, rhs: np.ndarray,
-                 solver: Solver) -> tuple[np.ndarray, DiscreteOperator, float]:
-    """The solve behind ``_adjoint_solve``, never memoized."""
+    if memo is not None:
+        key = (tuple(idx.tolist()), order, sample(potential, domain).tobytes(),
+               potential.bound, solver)
+        if key in memo:
+            return memo[key]
+    rhs = trace_sources(domain, idx, order)
     if potential.is_bounded():
         op = assemble(domain, potential)
-        P = op.solve_load(rhs, solver)
-        return P, op, float(potential.bound)
-    walker = ScheduleSolver(domain, potential, solver)
-    P, final_level = schedule_kernel_run(walker, rhs)
-    return P, walker.operator, final_level
+        result = op.solve_load(rhs, solver), op, float(potential.bound)
+    else:
+        result = schedule_kernel_run(domain, potential, rhs, solver)
+    if memo is not None:
+        result[0].flags.writeable = False
+        memo[key] = result
+    return result
 
 
 def kernel_set(
@@ -179,13 +167,11 @@ def kernel_set(
     """Duality kernels for the sampled boundary nodes (all nodes by default),
     representing the trace of ``order``."""
     idx = resolve_samples(domain, samples)
-    rhs = trace_sources(domain, idx, order)
-    P, _, _ = _adjoint_solve(domain, potential, rhs, solver)
+    P, _, _ = _adjoint_solve(domain, potential, idx, order, solver)
     if potential.family == "zero":
         ref = P
     elif with_reference:
-        ref_op = assemble(domain, zero_potential())
-        ref = ref_op.solve_load(rhs, solver)
+        ref = assemble(domain, zero_potential()).solve_load(trace_sources(domain, idx, order), solver)
     else:
         ref = None
     l1 = np.abs(P).T @ domain.volumes
@@ -225,9 +211,8 @@ def truncation_kernels(
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
     the last entry is the schedule limit returned by duality_kernel."""
-    walker = ScheduleSolver(domain, potential, solver)
     mats: list[np.ndarray] = []
-    schedule_kernel_run(walker, trace_sources(domain, [a]), stop_early, collect=mats)
+    schedule_kernel_run(domain, potential, trace_sources(domain, [a]), solver, stop_early, mats)
     return [Field(domain, m[:, 0].copy()) for m in mats]
 
 

@@ -8,21 +8,24 @@ disk K itself is the symmetric flux-form polar operator.  Either way K is
 symmetric positive definite, the discrete maximum principle holds, and the
 adjoint solve used by duality kernels is a plain solve with K.
 
-Solves default to a cached sparse LU factorization (one factorization serves
-every right-hand side, which kernel sets rely on); conjugate gradients with a
-Jacobi preconditioner is available as ``method="cg"``.  A ``Solver`` value
-carries the settings of every solve of a run: tolerance, method, iteration cap
-and truncation schedule.
+Every solve and every factorization goes through
+``DiscreteOperator.solve_load``.  A direct solve uses the operator's cached
+sparse LU factor (one factorization serves every right-hand side, which
+kernel sets rely on); conjugate gradients with a Jacobi preconditioner is
+available as ``method="cg"``.  A ``Solver`` value carries the settings of
+every solve of a run: tolerance, method, iteration cap and truncation
+schedule.
 
-A truncation-schedule walk with at most ``PCG_COLUMNS`` load columns and a
-direct solve factors only its first level.  Since ``min(V,k) <= min(V,2k) <=
-2 min(V,k)``, that factor is a spectrally equivalent preconditioner for the
-later levels, which the walk solves by conjugate gradients warm-started from
-the previous level's solution.  A level whose PCG misses ``PCG_BUDGET``
-iterations is factored afresh and preconditions the levels after it; the
-stale factor is dropped first, so the walk holds at most one.  A level whose
-factor an operator cache already holds is solved with it directly.  Walks
-with more columns factor every level: there a many-column triangular solve
+The truncation-schedule walk ``walk`` factors the first level it solves and
+links each later unfactored level to the factor it holds.  Since
+``min(V,k) <= min(V,2k) <= 2 min(V,k)``, that factor is a spectrally
+equivalent preconditioner, so ``solve_load`` solves a linked operator with at
+most ``PCG_COLUMNS`` load columns by conjugate gradients preconditioned with
+it, warm-started from the previous level's solution in the walk and from zero
+in a later solve.  A column that misses ``PCG_BUDGET`` iterations has the
+operator factored afresh, and the next levels link to that factor; outside an
+operator cache the stale factor is dropped first, so a walk holds at most one.
+Wider loads factor the linked operator: there a many-column triangular solve
 costs more than a refactorization.  Every path enforces the relative-residual
 postcondition.
 """
@@ -44,8 +47,8 @@ from .potential import Potential, PotentialError, TruncationSchedule, sample
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
 METHODS = ("auto", "direct", "cg")
-PCG_COLUMNS = 2  # walks with more load columns factor every level
-PCG_BUDGET = 30  # PCG iterations per column before a walk refactors
+PCG_COLUMNS = 2  # loads with more columns factor a linked operator
+PCG_BUDGET = 30  # PCG iterations per column before a linked operator is factored
 
 
 class SolverError(RuntimeError):
@@ -101,7 +104,7 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
 class DiscreteOperator:
     """Assembled symmetric positive-definite operator for one potential sample."""
 
-    def __init__(self, domain: Domain, v_values: np.ndarray, label: str = ""):
+    def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
         if v_values.shape != (domain.n_interior,):
             raise PotentialError("potential sample does not match the domain")
@@ -109,37 +112,49 @@ class DiscreteOperator:
             raise PotentialError("potential sample must be finite and nonnegative")
         self.domain = domain
         self.v_values = v_values
-        self.label = label
         self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
         self._lu = None
+        self._near = None  # the factored operator of a nearby walk level, while unfactored
 
-    def solve_load(self, load: np.ndarray, solver: Solver | None = None) -> np.ndarray:
-        """Solve K u = load for one or many (columns) integrated right-hand sides."""
+    def solve_load(self, load: np.ndarray, solver: Solver | None = None,
+                   guess: np.ndarray | None = None) -> np.ndarray:
+        """Solve K u = load for one or many (columns) integrated right-hand sides.
+
+        A direct solve uses this operator's LU factor, made on first use;
+        an unfactored operator that a walk linked to a nearby level's factor
+        is solved by PCG on that factor from ``guess`` (see the module
+        docstring).
+        """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
-        if _direct(solver, self.domain):
-            if self._lu is None:
-                self._lu = spla.splu(self.system)
-            u = self._lu.solve(load)
-        else:
+        if not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
+        else:
+            u = self._pcg(load, solver, guess)
+            if u is None:
+                if self._lu is None:
+                    if self._near is not None and self.domain._operators is None:
+                        self._near._lu = None  # nothing outside a cache reuses the stale factor
+                    self._near = None
+                    self._lu = spla.splu(self.system)
+                u = self._lu.solve(load)
         self._check_residual(u, load, solver.tol)
         return u
 
-    def solve_pcg(self, load: np.ndarray, solver: Solver, lu,
-                  guess: np.ndarray) -> np.ndarray | None:
-        """Solve K u = load by CG preconditioned with ``lu``, the LU factor of
-        a nearby operator, starting from ``guess``; None when a column misses
-        PCG_BUDGET iterations.  It stops at 1e-2 * solver.tol, well inside the
-        residual check."""
-        precond = spla.LinearOperator(self.system.shape, matvec=lu.solve, dtype=float)
+    def _pcg(self, load: np.ndarray, solver: Solver, guess: np.ndarray | None) -> np.ndarray | None:
+        """CG preconditioned with the linked factor, stopped at 1e-2 *
+        solver.tol; None when there is none to use or a column misses
+        PCG_BUDGET iterations."""
+        near = self._near
+        if (self._lu is not None or near is None or near._lu is None
+                or load.reshape(len(load), -1).shape[1] > PCG_COLUMNS):
+            return None
+        precond = spla.LinearOperator(self.system.shape, matvec=near._lu.solve, dtype=float)
         try:
-            u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
+            return self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
         except SolverError:
             return None
-        self._check_residual(u, load, solver.tol)
-        return u
 
     def _cg(self, load: np.ndarray, precond, max_iter: int, rtol: float,
             guess: np.ndarray | None = None) -> np.ndarray:
@@ -169,15 +184,15 @@ class DiscreteOperator:
             raise SolverError(f"linear solve failed the residual check (relative residual {worst:.3e})")
 
 
-def _operator_for(domain: Domain, v_values: np.ndarray, label: str) -> DiscreteOperator:
+def _operator_for(domain: Domain, v_values: np.ndarray) -> DiscreteOperator:
     """Operator of a potential sample; inside ``cached_operators(domain)`` one
     per distinct sample, so its factorization serves every later solve."""
     cache = domain._operators
     if cache is None:
-        return DiscreteOperator(domain, v_values, label)
+        return DiscreteOperator(domain, v_values)
     key = np.asarray(v_values, dtype=float).tobytes()
     if key not in cache:
-        cache[key] = DiscreteOperator(domain, v_values, label)
+        cache[key] = DiscreteOperator(domain, v_values)
     return cache[key]
 
 
@@ -185,11 +200,15 @@ def _operator_for(domain: Domain, v_values: np.ndarray, label: str) -> DiscreteO
 def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
     sample, among all solves on ``domain`` inside the block; dropped on exit.
+    Every solve still goes through ``DiscreteOperator.solve_load``, so a
+    direct solve on an operator that a walk left unfactored runs PCG on the
+    factor the walk linked it to.
 
     The block also shares adjoint kernels: ``kernel._adjoint_solve`` keeps
-    its read-only result, keyed by the digest and shape of the adjoint
-    sources, the potential sample and bound, and the ``Solver``, so two
-    checks that need the same kernels walk the schedule once.
+    its read-only result, keyed by the sample indices and trace order (they
+    determine the adjoint sources), the potential sample and bound, and the
+    ``Solver``, so two checks that need the same kernels walk the schedule
+    once.
 
     Only a grid that several computations solve on gains: on a grid built
     for one schedule walk the cache would hold factors nobody reuses.
@@ -213,7 +232,7 @@ def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
         raise PotentialError(
             f"potential {potential.label!r} is unbounded; truncate it or use a schedule solve"
         )
-    return _operator_for(domain, sample(potential, domain), potential.label)
+    return _operator_for(domain, sample(potential, domain))
 
 
 @dataclass(frozen=True)
@@ -226,55 +245,34 @@ class TruncationDiagnostics:
     saturated: bool  # truncation stopped changing the sampled potential
 
 
-class ScheduleSolver:
+def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver | None = None):
     """The truncation-schedule engine: one pass over the levels k of the
-    solver's schedule, solving with min(V, k) at each.
+    solver's schedule, yielding (k, operator of min(V, k), solution of
+    K_k u = load).
 
-    A walk of at most PCG_COLUMNS load columns with a direct solve factors
-    one level and solves the later ones by PCG on that factor (see the
-    module docstring); a wider walk factors every level.  Either way it
-    keeps at most one LU factor alive on an uncached grid.  Stop rules belong
-    to the consumers, which end the walk by leaving the loop; ``operator`` is
-    then the operator of the last level solved, factored only if that level
-    was.
+    Each level is solved by ``solve_load``, linked to the factor of the last
+    level factored and warm-started from the previous solution (see the
+    module docstring).  A level whose truncation equals the last solved one
+    is saturated: the discrete problem is unchanged, so it is yielded with
+    that level's operator and solution None, and so is every level after it
+    (the sample lies below all of them).  Stop rules belong to the
+    consumers, which end the walk by leaving the loop.
     """
-
-    def __init__(self, domain: Domain, potential: Potential, solver: Solver | None = None):
-        self.domain = domain
-        self.potential = potential
-        self.solver = solver or Solver()
-        self.operator: DiscreteOperator | None = None
-
-    def walk(self, load: np.ndarray):
-        """Yield (level, solution of K_k u = load) along the schedule.
-
-        A level whose truncation equals the last solved one is saturated: the
-        discrete problem is unchanged, so it is yielded with solution None,
-        and so is every level after it (the sample lies below all of them).
-        """
-        load = np.asarray(load, dtype=float)
-        precondition = (load.reshape(len(load), -1).shape[1] <= PCG_COLUMNS
-                        and _direct(self.solver, self.domain))
-        full = sample(self.potential, self.domain)
-        prev = None
-        u = None
-        factored = None  # the operator whose factor preconditions the later levels
-        for level in self.solver.schedule.levels():
-            vals = np.minimum(full, level)
-            if prev is not None and np.array_equal(vals, prev):
-                yield level, None
-                continue
-            # rebinding drops the previous level's operator, and on a wide walk its factor
-            label = f"min({self.potential.label},{level:g})"
-            self.operator = op = _operator_for(self.domain, vals, label)
-            pcg = factored is not None and op._lu is None
-            u = op.solve_pcg(load, self.solver, factored._lu, u) if pcg else None
-            if u is None:
-                factored = None  # the stale factor goes before splu makes the next
-                u = op.solve_load(load, self.solver)
-                factored = op if precondition else None
-            yield level, u
-            prev = vals
+    solver = solver or Solver()
+    full = sample(potential, domain)
+    op = u = None
+    for level in solver.schedule.levels():
+        vals = np.minimum(full, level)
+        if op is not None and np.array_equal(vals, op.v_values):
+            yield level, op, None
+            continue
+        # the last factor the walk solved with: the last level's own or its link
+        near = op._near if op is not None and op._lu is None else op
+        op = _operator_for(domain, vals)
+        if op._lu is None:
+            op._near = near
+        u = op.solve_load(load, solver, u)
+        yield level, op, u
 
 
 class _L1Limit:
@@ -346,29 +344,35 @@ def solve_truncated_limit(
     potential: Potential,
     measure: Measure,
     solver: Solver | None = None,
-    stop_tol: float | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
     Signed measures are split and the two nonnegative parts solved as two
-    columns of one walk, each its own monotone limit with its own stop, so
-    every level is factored once.  Early stop when the L1 distance between
-    consecutive iterates falls below ``stop_tol`` (default 1e-8 times the
-    measure's total variation).
+    columns of one walk, each its own monotone limit with its own stop.
+    Early stop when the L1 distance between consecutive iterates falls below
+    1e-8 times the measure's total variation (at least 1e-8).
     """
-    if stop_tol is None:
-        tv = total_variation(measure, domain)
-        if not np.isfinite(tv):
-            raise ValueError("measure has infinite total variation")
-        stop_tol = 1e-8 * max(tv, 1.0)
+    tv = total_variation(measure, domain)
+    if not np.isfinite(tv):
+        raise ValueError("measure has infinite total variation")
     parts = (measure,) if is_nonnegative(measure, domain) else split_signed(measure, domain)
-    limit = _L1Limit(domain, stop_tol, len(parts))
-    walker = ScheduleSolver(domain, potential, solver)
-    for level, u in walker.walk(np.column_stack([load_vector(p, domain) for p in parts])):
+    limit = _L1Limit(domain, 1e-8 * max(tv, 1.0), len(parts))
+    load = np.column_stack([load_vector(p, domain) for p in parts])
+    for level, _, u in walk(domain, potential, load, solver):
         if limit.step(level, u):
             break
     u = limit.u[:, 0] if len(parts) == 1 else limit.u[:, 0] - limit.u[:, 1]
     return Field(domain, u), limit.diagnostics()
+
+
+def _density_load(domain: Domain, source: Measure) -> np.ndarray:
+    if source.atoms:
+        raise ValueError("energy is defined for density sources only")
+    return load_vector(source, domain)
+
+
+def _quadratic_energy(op: DiscreteOperator, load: np.ndarray, z: np.ndarray) -> float:
+    return float(0.5 * z @ (op.system @ z) - load @ z)
 
 
 def energy(domain: Domain, potential: Potential, source: Measure, z) -> float:
@@ -378,9 +382,6 @@ def energy(domain: Domain, potential: Potential, source: Measure, z) -> float:
     the matching node quadrature, so the minimizer of this functional is
     exactly the assembled solve.  The source must be a pure density.
     """
-    if source.atoms:
-        raise ValueError("energy is defined for density sources only")
+    load = _density_load(domain, source)
     zv = z.values if isinstance(z, Field) else np.asarray(z, dtype=float)
-    op = assemble(domain, potential)
-    load = load_vector(source, domain)
-    return float(0.5 * zv @ (op.system @ zv) - load @ zv)
+    return _quadratic_energy(assemble(domain, potential), load, zv)

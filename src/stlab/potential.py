@@ -184,6 +184,6 @@ def weighted_l1(potential: Potential, domain: Domain, refinements: int = 3) -> W
         vals = sample(potential, dom)
         history.append(float(np.sum(vals * dom.distances * dom.volumes)))
         if level < refinements:
-            dom = dom.refine(2)
+            dom = dom.refine()
     divergent = ladder_diverges(history)
     return WeightedL1Result(value=history[-1], divergent=divergent, history=tuple(history))

@@ -11,19 +11,13 @@ residual is within its tolerance; verdicts classify, they do not fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .domain import Domain
 from .fields import Field
-from .kernel import (
-    _adjoint_solve,
-    kernel_set,
-    positivity_set,
-    resolve_samples,
-    trace_sources,
-)
+from .kernel import _adjoint_solve, kernel_set, positivity_set, resolve_samples
 from .measure import (
     Measure,
     density_measure,
@@ -35,12 +29,13 @@ from .measure import (
     uniform_density,
 )
 from .operator import (
-    ScheduleSolver,
     Solver,
+    _density_load,
     _L1Limit,
+    _quadratic_energy,
     assemble,
-    energy,
     solve_truncated_limit,
+    walk,
 )
 from .potential import Potential, sample, weighted_l1, zero_potential
 from .trace import normal_derivative
@@ -80,27 +75,7 @@ class VerifyReport:
         return all(c.passed for c in self.cases)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": bool(self.passed),
-            "verdict": self.verdict,
-            "cases": [
-                {
-                    "name": c.name,
-                    "left": c.left,
-                    "right": c.right,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": bool(c.passed),
-                    "inputs": c.inputs,
-                }
-                for c in self.cases
-            ],
-            "table": [
-                {"h": r.h, "level": r.level, "residual": r.residual} for r in self.table
-            ],
-            "details": self.details,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _case(name: str, residual: float, tolerance: float, left: float = 0.0,
@@ -145,9 +120,8 @@ def representation_check(
     if not np.isfinite(tv):
         raise ValueError("representation check needs a finite measure")
     idx = resolve_samples(domain, samples)
-    rhs = trace_sources(domain, idx, order)
     solver = solver or Solver()
-    kernels, op, final_level = _adjoint_solve(domain, potential, rhs, solver)
+    kernels, op, final_level = _adjoint_solve(domain, potential, idx, order, solver)
     load = load_vector(measure, domain)
     u = Field(domain, op.solve_load(load, solver))
     tr = normal_derivative(domain, u, order).values
@@ -238,13 +212,13 @@ def _trace_extrema(domain: Domain, u: Field, order: int) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _trace_levels(walker: ScheduleSolver, measure: Measure, order: int):
+def _trace_levels(domain: Domain, potential: Potential, measure: Measure, solver: Solver,
+                  order: int):
     """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
     taken in the walk itself; a saturated level repeats the previous row."""
-    domain = walker.domain
     limit = _L1Limit(domain, 1e-8 * max(total_variation(measure, domain), 1.0))
     rows = []
-    for level, u in walker.walk(load_vector(measure, domain)[:, None]):
+    for level, _, u in walk(domain, potential, load_vector(measure, domain)[:, None], solver):
         extrema = (rows[-1][1:] if u is None
                    else _trace_extrema(domain, Field(domain, u[:, 0]), order))
         rows.append((float(level), *extrema))
@@ -303,8 +277,7 @@ def hopf_check(
     table = []
     cases = []
     for g in grids:
-        walker = ScheduleSolver(g, potential, solver)
-        diag, rows = _trace_levels(walker, measure, order)
+        diag, rows = _trace_levels(g, potential, measure, solver, order)
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,
@@ -496,17 +469,18 @@ def energy_check(
     solver: Solver | None = None,
 ) -> VerifyReport:
     """The solve minimizes the quadratic energy: random perturbations only
-    increase it.  Density sources only."""
+    increase it.  Density sources only; the base energy and every
+    perturbation are evaluated with the operator and load of the solve."""
     op = assemble(domain, potential)
-    load = load_vector(source, domain)
+    load = _density_load(domain, source)
     u = op.solve_load(load, solver)
-    base = energy(domain, potential, source, u)
+    base = _quadratic_energy(op, load, u)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_perturbations):
         w = rng.standard_normal(domain.n_interior)
         w *= 0.1 / max(float(np.max(np.abs(w))), 1e-300)
-        worst = min(worst, energy(domain, potential, source, u + w) - base)
+        worst = min(worst, _quadratic_energy(op, load, u + w) - base)
     cases = (
         _case("minimum", max(-worst, 0.0), 1e-12 * max(abs(base), 1.0),
               left=base, right=base + worst),

@@ -141,6 +141,14 @@ def test_refine_halves_h():
         assert r.n_interior > d.n_interior
 
 
+def test_refine_doubles_every_resolution():
+    for d in (build_interval(16), build_disk(6, 20), build_rectangle(8)):
+        doubled = {k: 2 * v for k, v in d.resolution.items()}
+        r = d.refine()
+        assert r.resolution == doubled
+        assert _domain_digest(r) == _domain_digest(build_domain(d.kind, **doubled))
+
+
 def test_neighbor_indices_valid():
     for d in (build_interval(16), build_disk(8), build_rectangle(12)):
         assert np.all(d.first_neighbor >= 0)

@@ -1,5 +1,6 @@
 """Factorization counts: at most one LU factorization per distinct operator,
-and one per few-column schedule walk; one all-node kernel walk per verify run.
+and one per few-column schedule walk, later solves on its last level
+included; one all-node kernel walk per verify run.
 
 ``scipy.sparse.linalg.splu`` is wrapped to count factorizations; a distinct
 matrix is a distinct (grid, truncated potential) pair.
@@ -9,7 +10,13 @@ import os
 
 import pytest
 
-from stlab import dirac, power_distance_potential, solve_truncated_limit
+from stlab import (
+    build_disk,
+    dirac,
+    power_distance_potential,
+    representation_check,
+    solve_truncated_limit,
+)
 from stlab import kernel as kernel_module
 from stlab.cli import main
 from stlab.config import load_config
@@ -52,10 +59,22 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
     widths = []
     real_run = kernel_module.schedule_kernel_run
 
-    def run(walker, rhs, *args, **kwargs):
+    def run(domain, potential, rhs, *args, **kwargs):
         widths.append(rhs.shape[1])
-        return real_run(walker, rhs, *args, **kwargs)
+        return real_run(domain, potential, rhs, *args, **kwargs)
 
     monkeypatch.setattr(kernel_module, "schedule_kernel_run", run)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert widths.count(run_cfg.build_domain().n_boundary) == 1
+
+
+def test_one_node_representation_factors_once(factorizations):
+    # the primal solve on the kernel walk's last operator runs PCG on the
+    # walk's factor instead of factoring that level again
+    calls, live_factored = factorizations
+    rep = representation_check(build_disk(16), power_distance_potential(1.5),
+                               dirac([0.2, -0.1]), samples=[0])
+    assert len(calls) == 1
+    assert live_factored == [0]
+    assert rep.passed
+    assert rep.details["max_residual"] <= rep.cases[0].tolerance

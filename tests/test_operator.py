@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 from stlab import (
     Measure,
-    ScheduleSolver,
     Solver,
     TruncationSchedule,
     assemble,
@@ -28,10 +28,11 @@ from stlab import (
     uniform_density,
     zero_potential,
 )
+from stlab import kernel as kernel_module
 from stlab import operator as operator_module
 from stlab.kernel import trace_sources
 from stlab.measure import load_vector, total_variation
-from stlab.operator import DiscreteOperator, SolverError, cached_operators
+from stlab.operator import DiscreteOperator, SolverError, cached_operators, walk
 from stlab.potential import PotentialError
 
 CAPPED_CG = Solver(method="cg", max_iter=1)
@@ -182,7 +183,7 @@ def _walk(name, factorizations):
     pot = power_distance_potential(1.5)
     # a signed pair reaches the walk as its two nonnegative parts, two columns
     load = np.column_stack([load_vector(dirac(x), d) for x in atoms])
-    solved = [(level, u) for level, u in ScheduleSolver(d, pot).walk(load) if u is not None]
+    solved = [(level, u) for level, _, u in walk(d, pot, load) if u is not None]
     calls, live_factored = factorizations
     walk_factorizations = len(calls)
     # the walk drops its stale factor before it makes the next
@@ -209,37 +210,51 @@ def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch
 
 
 def test_wide_kernel_walk_factors_every_level(factorizations, monkeypatch):
-    calls, _ = factorizations
+    calls, live_factored = factorizations
     solved = []
-    real_walk = ScheduleSolver.walk
+    real_walk = kernel_module.walk
 
-    def walk(self, load):
-        for level, u in real_walk(self, load):
+    def recording_walk(*args):
+        for level, op, u in real_walk(*args):
             if u is not None:
                 solved.append(u.shape[1])
-            yield level, u
+            yield level, op, u
 
-    monkeypatch.setattr(ScheduleSolver, "walk", walk)
+    monkeypatch.setattr(kernel_module, "walk", recording_walk)
     d = build_disk(32)
     kernel_set(d, power_distance_potential(1.5), with_reference=False)
     assert len(solved) > 2 and set(solved) == {128}
     assert len(calls) == len(solved)
+    assert live_factored == [0] * len(calls)
 
 
 def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
     calls, _ = factorizations
     pcg = []
-    real_pcg = DiscreteOperator.solve_pcg
-    monkeypatch.setattr(DiscreteOperator, "solve_pcg",
-                        lambda self, *args: pcg.append(self) or real_pcg(self, *args))
+    real_cg = spla.cg
+    monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: pcg.append(args) or real_cg(*args, **kwargs))
     d = build_disk(8)
     pot = power_distance_potential(1.5)
     with cached_operators(d):
-        wide = [u for _, u in ScheduleSolver(d, pot).walk(trace_sources(d)) if u is not None]
-        narrow = [u for _, u in ScheduleSolver(d, pot).walk(load_vector(dirac([0.2, -0.1]), d))
+        wide = [u for _, _, u in walk(d, pot, trace_sources(d)) if u is not None]
+        narrow = [u for _, _, u in walk(d, pot, load_vector(dirac([0.2, -0.1]), d))
                   if u is not None]
     assert len(narrow) == len(wide) == len(calls) > 2
     assert pcg == []
+
+
+def test_walk_solves_every_level_through_solve_load(monkeypatch):
+    solves = []
+    real_solve = DiscreteOperator.solve_load
+    monkeypatch.setattr(DiscreteOperator, "solve_load",
+                        lambda self, *args: solves.append(self) or real_solve(self, *args))
+    d = build_rectangle(16)
+    steps = list(walk(d, power_distance_potential(1.5), load_vector(dirac([0.4, 0.55]), d)))
+    solved = [op for _, op, u in steps if u is not None]
+    assert len(solved) > 2 and solves == solved
+    # saturated levels carry the operator of the last level solved
+    saturated = [op for _, op, u in steps if u is None]
+    assert saturated and all(op is solved[-1] for op in saturated)
 
 
 def test_schedule_saturates_for_bounded_potential(interval64):
@@ -279,7 +294,7 @@ def test_signed_walk_columns_are_monotone(grid, alpha, seed):
     mu = dirac(locs[0], rng.uniform(0.1, 2.0)) + dirac(locs[1], -rng.uniform(0.1, 2.0))
     load = np.column_stack([load_vector(p, d) for p in split_signed(mu, d)])
     prev = None
-    for _, u in ScheduleSolver(d, power_distance_potential(alpha)).walk(load):
+    for _, _, u in walk(d, power_distance_potential(alpha), load):
         if u is None:
             break
         if prev is not None:

@@ -17,7 +17,7 @@ from stlab import (
     weighted_l1,
     zero_potential,
 )
-from stlab.operator import ScheduleSolver
+from stlab.operator import walk
 from stlab.potential import PotentialError, ladder_diverges
 
 
@@ -37,10 +37,9 @@ def test_truncate_caps_values():
     # the schedule solves level k with min(V, k)
     d = build_interval(10)
     solver = Solver(schedule=TruncationSchedule(J=2))
-    walker = ScheduleSolver(d, power_distance_potential(1.0), solver)
-    levels = [level for level, _ in walker.walk(np.ones(d.n_interior))]
-    assert levels == [1.0, 2.0, 4.0]
-    v = walker.operator.v_values
+    steps = list(walk(d, power_distance_potential(1.0), np.ones(d.n_interior), solver))
+    assert [level for level, _, _ in steps] == [1.0, 2.0, 4.0]
+    v = steps[-1][1].v_values
     # node at d = 0.1 holds min(10, 4)
     assert v[0] == pytest.approx(4.0)
     assert np.all(v <= 4.0 + 1e-15)

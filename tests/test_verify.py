@@ -12,16 +12,18 @@ from stlab import (
     density_measure,
     dirac,
     duality_kernel,
+    energy,
     interior_singularity_potential,
     kernel_set,
     power_distance_density,
     power_distance_potential,
+    solve_dirichlet,
     table_density,
     uniform_density,
     zero_potential,
 )
-from stlab import verify
-from stlab.operator import DEFAULT_TOL
+from stlab import kernel as kernel_module
+from stlab.operator import DEFAULT_TOL, DiscreteOperator
 from stlab.verify import (
     comparison_check,
     energy_check,
@@ -74,8 +76,8 @@ def test_representation_atomic_measure_can_fail(monkeypatch, potential):
     rep = representation_check(d, potential, mu)
     assert rep.passed
     assert {c.tolerance for c in rep.cases} == {10 * DEFAULT_TOL * 2.25}
-    sources = verify.trace_sources
-    monkeypatch.setattr(verify, "trace_sources", lambda *args: sources(*args) * (1 + 1e-6))
+    sources = kernel_module.trace_sources
+    monkeypatch.setattr(kernel_module, "trace_sources", lambda *args: sources(*args) * (1 + 1e-6))
     assert not representation_check(d, potential, mu).passed
 
 
@@ -250,6 +252,20 @@ def test_energy_check_minimum_property(interval64):
     rep = energy_check(interval64, constant_potential(1.0), density_measure(uniform_density(1.0)))
     assert rep.passed
     assert rep.details["worst_perturbation_gain"] >= -1e-12
+
+
+def test_energy_check_builds_one_operator(monkeypatch):
+    d = build_interval(256)
+    pot, f = constant_potential(1.0), density_measure(uniform_density(1.0))
+    built = []
+    real_init = DiscreteOperator.__init__
+    monkeypatch.setattr(DiscreteOperator, "__init__",
+                        lambda self, *args: built.append(self) or real_init(self, *args))
+    rep = energy_check(d, pot, f, n_perturbations=100)
+    assert rep.passed
+    assert len(built) == 1
+    # the same expression as the public energy, so the same bits
+    assert rep.details["energy"] == energy(d, pot, f, solve_dirichlet(d, pot, f).values)
 
 
 def test_report_serialization(interval64, tmp_path):
