@@ -9,20 +9,20 @@ kernels are discrete harmonic measure densities (the Poisson kernel on the
 disk); with absorption they can only shrink, never grow, by inverse
 monotonicity of the M-matrix system.
 
-Singular potentials go through the truncation schedule: the kernels decrease
-nodewise with the level, and the run stops when the decrease falls below
-1e-8 times the first-level peak, or when truncation stops changing the
-sampled potential (the levels have passed its grid maximum).
+Singular potentials have a discrete limit: the grid samples V finitely, so
+min(V_h, k) = V_h from the first schedule level k >= max V_h on, every later
+level solves the same system, and one solve with the full sample is the
+schedule limit.  Only a schedule that ends below max V_h walks its levels,
+and its limit is the kernels of the top level.
 
-Every adjoint solve goes through ``DiscreteOperator.solve_load``, one level
-of the schedule walk at a time.  Inside ``cached_operators(domain)`` it is
-memoized as well, so checks that need the kernels of the same boundary nodes
-(``representation`` and ``inequalities`` with every node sampled) share one
-walk.  The key holds every input of the result: the sample indices and trace
-order (they determine the adjoint sources), the sampled potential, its bound
-(a bounded potential takes one solve, not the walk) and the ``Solver``.  A
-memoized kernel array is read-only, so no consumer can change what a later
-one reads.
+Every adjoint solve goes through ``DiscreteOperator.solve_load``.  Inside
+``cached_operators(domain)`` it is memoized as well, so checks that need the
+kernels of the same boundary nodes (``representation`` and ``inequalities``
+with every node sampled) share one solve.  The key holds every input of the
+result: the sample indices and trace order (they determine the adjoint
+sources), the sampled potential, its bound (a bounded potential reports its
+bound as the level, not a schedule level) and the ``Solver``.  A memoized
+kernel array is read-only, so no consumer can change what a later one reads.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ import numpy as np
 from .domain import Domain, DomainError
 from .fields import Field
 from .measure import Measure, density_measure, load_vector, uniform_density
-from .operator import DiscreteOperator, Solver, assemble, solve_truncated_limit, walk
+from .operator import DiscreteOperator, Solver, _operator_for, assemble, solve_truncated_limit, walk
 from .potential import Potential, sample, zero_potential
 from .trace import trace_matrix
 
 DEGENERACY_FACTOR = 1e-10
-KERNEL_STOP_FACTOR = 1e-8
 
 
 def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
@@ -99,57 +98,57 @@ def schedule_kernel_run(
     stop_early: bool = True,
     collect: list | None = None,
 ) -> tuple[np.ndarray, DiscreteOperator, float]:
-    """Solve the adjoint system along the schedule; returns the last level's
-    kernels, its operator and its level.  ``collect`` receives the kernel
-    array of every level run.
+    """Solve the adjoint system level by level along the schedule; returns
+    the last level's kernels, its operator and its level.  ``collect``
+    receives the kernel array of every level run.
 
-    Saturated levels (truncation no longer changes the sampled potential) reuse
-    the previous solution: the discrete problem is identical, so recomputing
-    could only add factorization noise.  Without ``stop_early`` the walk runs
-    the whole schedule, past convergence and saturation.
+    The walk stops at the first saturated level (truncation no longer
+    changes the sampled potential).  Without ``stop_early`` it runs the whole
+    schedule, and saturated levels repeat the previous kernels: the discrete
+    problem is identical, so recomputing could only add factorization noise.
     """
-    prev = op = final_level = scale = None
-    converged = False
+    prev = op = final_level = None
     for level, op, P in walk(domain, potential, rhs, solver):
         if P is None:
             if stop_early:
                 break
             P = prev
-        elif prev is None:
-            scale = max(float(np.max(np.abs(P))), 1e-300)
-        elif float(np.max(np.abs(P - prev))) < KERNEL_STOP_FACTOR * scale:
-            converged = True
         final_level = level
         if collect is not None:
             collect.append(P)
         prev = P
-        if converged and stop_early:
-            break
     return prev, op, final_level
 
 
 def _adjoint_solve(domain: Domain, potential: Potential, idx: np.ndarray, order: int,
                    solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
-    """Kernels of the boundary nodes ``idx`` for the trace of ``order``: one
-    solve for a bounded potential, the schedule limit otherwise.  Returns the
-    kernels, the operator that produced them and its truncation level.
+    """Kernels of the boundary nodes ``idx`` for the trace of ``order``, the
+    operator that produced them and its level.
 
-    Inside ``cached_operators(domain)`` the result is memoized (see the
-    module docstring).
+    A bounded potential, or one whose sample max V_h some schedule level
+    reaches, takes one solve with the full sample; the level is the bound, or the first
+    schedule level at or above max V_h (the level where a walk saturates).
+    A schedule that ends below max V_h is walked to its top level.  Inside
+    ``cached_operators(domain)`` the result is memoized (see the module
+    docstring).
     """
     solver = solver or Solver()
+    full = sample(potential, domain)
     memo = domain._adjoints
     if memo is not None:
-        key = (tuple(idx.tolist()), order, sample(potential, domain).tobytes(),
-               potential.bound, solver)
+        key = (tuple(idx.tolist()), order, full.tobytes(), potential.bound, solver)
         if key in memo:
             return memo[key]
     rhs = trace_sources(domain, idx, order)
     if potential.is_bounded():
-        op = assemble(domain, potential)
-        result = op.solve_load(rhs, solver), op, float(potential.bound)
+        level = float(potential.bound)
     else:
+        level = next((k for k in solver.schedule.levels() if k >= full.max()), None)
+    if level is None:
         result = schedule_kernel_run(domain, potential, rhs, solver)
+    else:
+        op = _operator_for(domain, full)
+        result = op.solve_load(rhs, solver), op, level
     if memo is not None:
         result[0].flags.writeable = False
         memo[key] = result
@@ -210,7 +209,7 @@ def truncation_kernels(
     stop_early: bool = True,
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
-    the last entry is the schedule limit returned by duality_kernel."""
+    the last entry agrees with duality_kernel to the solver tolerance."""
     mats: list[np.ndarray] = []
     schedule_kernel_run(domain, potential, trace_sources(domain, [a]), solver, stop_early, mats)
     return [Field(domain, m[:, 0].copy()) for m in mats]

@@ -207,7 +207,7 @@ def cached_operators(domain: Domain):
     The block also shares adjoint kernels: ``kernel._adjoint_solve`` keeps
     its read-only result, keyed by the sample indices and trace order (they
     determine the adjoint sources), the potential sample and bound, and the
-    ``Solver``, so two checks that need the same kernels walk the schedule
+    ``Solver``, so two checks that need the same kernels solve for them
     once.
 
     Only a grid that several computations solve on gains: on a grid built

@@ -1,6 +1,6 @@
 """Factorization counts: at most one LU factorization per distinct operator,
 and one per few-column schedule walk, later solves on its last level
-included; one all-node kernel walk per verify run.
+included; one all-node kernel solve per verify run.
 
 ``scipy.sparse.linalg.splu`` is wrapped to count factorizations; a distinct
 matrix is a distinct (grid, truncated potential) pair.
@@ -17,9 +17,9 @@ from stlab import (
     representation_check,
     solve_truncated_limit,
 )
-from stlab import kernel as kernel_module
 from stlab.cli import main
 from stlab.config import load_config
+from stlab.operator import DiscreteOperator
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -52,25 +52,38 @@ def test_truncated_limit_factors_once_per_walk(rect16, factorizations, weights):
 
 
 def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
-    # representation and inequalities share the kernels of every boundary node
+    # representation and inequalities share the kernels of every boundary
+    # node, which are one solve with the full potential sample, not a walk;
+    # comparison's zero-potential reference kernels are a solve of their own
     cfg = os.path.join(GOLDEN, "verify_disk.cfg")
     run_cfg = load_config(cfg)
     assert {"representation", "inequalities"} <= set(run_cfg["checks"])
     widths = []
-    real_run = kernel_module.schedule_kernel_run
+    real_solve = DiscreteOperator.solve_load
 
-    def run(domain, potential, rhs, *args, **kwargs):
-        widths.append(rhs.shape[1])
-        return real_run(domain, potential, rhs, *args, **kwargs)
+    def solve(self, load, *args, **kwargs):
+        if self.v_values.any():
+            widths.append(load.shape[1] if load.ndim == 2 else 1)
+        return real_solve(self, load, *args, **kwargs)
 
-    monkeypatch.setattr(kernel_module, "schedule_kernel_run", run)
+    monkeypatch.setattr(DiscreteOperator, "solve_load", solve)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert widths.count(run_cfg.build_domain().n_boundary) == 1
 
 
+@pytest.mark.parametrize("command,name,factors", [
+    ("verify", "verify_disk", 6),
+    ("kernel", "kernel_disk", 2),  # the kernels and their zero-potential reference
+])
+def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors):
+    calls, _ = factorizations
+    cfg = os.path.join(GOLDEN, f"{name}.cfg")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == factors
+
+
 def test_one_node_representation_factors_once(factorizations):
-    # the primal solve on the kernel walk's last operator runs PCG on the
-    # walk's factor instead of factoring that level again
+    # the primal solve reuses the factor of the kernel solve's operator
     calls, live_factored = factorizations
     rep = representation_check(build_disk(16), power_distance_potential(1.5),
                                dirac([0.2, -0.1]), samples=[0])

@@ -20,6 +20,7 @@ from stlab import (
     normal_derivative,
     positivity_set,
     power_distance_potential,
+    representation_check,
     sample,
     solve_dirichlet,
     table_density,
@@ -33,7 +34,7 @@ from test_config_cli import read_csv, write
 from stlab import kernel as kernel_module
 from stlab.cli import main
 from stlab.domain import DomainError
-from stlab.kernel import kernel_summary, resolve_samples
+from stlab.kernel import kernel_summary, resolve_samples, trace_sources
 from stlab.measure import load_vector
 from stlab.operator import DiscreteOperator, cached_operators
 
@@ -274,20 +275,15 @@ def test_resolve_samples_rejects_non_integer_indices(interval64):
 
 
 @pytest.fixture
-def adjoint_work(monkeypatch):
-    """Counts of kernel schedule walks and operator solves."""
-    counts = {"walks": 0, "solves": 0}
-    real_run, real_solve = kernel_module.schedule_kernel_run, DiscreteOperator.solve_load
-
-    def run(*args, **kwargs):
-        counts["walks"] += 1
-        return real_run(*args, **kwargs)
+def adjoint_solves(monkeypatch):
+    """Count of operator solves."""
+    counts = {"solves": 0}
+    real_solve = DiscreteOperator.solve_load
 
     def solve(self, *args, **kwargs):
         counts["solves"] += 1
         return real_solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(kernel_module, "schedule_kernel_run", run)
     monkeypatch.setattr(DiscreteOperator, "solve_load", solve)
     return counts
 
@@ -295,23 +291,23 @@ def adjoint_work(monkeypatch):
 MEMO_POTENTIAL = power_distance_potential(1.5)
 
 
-def test_operator_scope_shares_adjoint_kernels(adjoint_work):
+def test_operator_scope_shares_adjoint_kernels(adjoint_solves):
     d = build_disk(8)
     uncached = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
     with cached_operators(d):
         first = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
-        adjoint_work.update(walks=0, solves=0)
+        adjoint_solves["solves"] = 0
         second = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
-        assert adjoint_work == {"walks": 0, "solves": 0}
+        assert adjoint_solves["solves"] == 0
         assert second is first
         with pytest.raises(ValueError):
             second[0, 0] = 1.0
     for kernels in (first, second):
         assert kernels.tobytes() == uncached.tobytes()
-    # nothing outlives the scope: a second one walks again
+    # nothing outlives the scope: a second one solves again
     with cached_operators(d):
         kernel_set(d, MEMO_POTENTIAL, with_reference=False)
-    assert adjoint_work["walks"] == 1
+    assert adjoint_solves["solves"] == 1
 
 
 @pytest.mark.parametrize("change", [
@@ -320,18 +316,62 @@ def test_operator_scope_shares_adjoint_kernels(adjoint_work):
     lambda d: {"solver": Solver(tol=1e-9)},
     lambda d: {"solver": Solver(schedule=TruncationSchedule(J=8))},
     lambda d: {"potential": power_distance_potential(2.0)},
-    # the same sample, but bounded: one solve, not the schedule limit
+    # the same sample, but bounded: its level is the bound, not a schedule level
     lambda d: {"potential": table_potential(sample(MEMO_POTENTIAL, d))},
 ], ids=["samples", "order", "tol", "schedule", "alpha", "bounded"])
-def test_adjoint_memo_misses_on_any_changed_input(adjoint_work, change):
+def test_adjoint_memo_misses_on_any_changed_input(adjoint_solves, change):
     d = build_disk(8)
     args = {"potential": MEMO_POTENTIAL, "samples": None, "solver": None, "order": 1}
     changed = {**args, **change(d)}
     with cached_operators(d):
         kernel_set(d, with_reference=False, **args)
-        adjoint_work.update(walks=0, solves=0)
+        adjoint_solves["solves"] = 0
         kernel_set(d, with_reference=False, **changed)
-    assert adjoint_work["solves" if changed["potential"].is_bounded() else "walks"] == 1
+    assert adjoint_solves["solves"] == 1
+
+
+@given(st.sampled_from(["rect12", "disk8"]), st.floats(min_value=0.5, max_value=2.5))
+def test_kernels_are_the_saturated_walks_last_level(grid, alpha):
+    # min(V_h, k) = V_h from the first level k >= max V_h on, so one solve with
+    # the full sample gives the kernels and the level of the saturated walk
+    d = {"rect12": lambda: build_rectangle(12), "disk8": lambda: build_disk(8)}[grid]()
+    pot = power_distance_potential(alpha)
+    walked, _, level = kernel_module.schedule_kernel_run(d, pot, trace_sources(d))
+    assert level >= float(np.max(sample(pot, d)))
+    assert kernel_set(d, pot, with_reference=False).kernels.tobytes() == walked.tobytes()
+    rep = representation_check(d, pot, dirac([0.45, 0.4] if grid == "rect12" else [0.2, -0.1]))
+    assert rep.details["final_level"] == level
+
+
+def test_cg_kernels_are_the_saturated_walks_last_level():
+    d = build_disk(8)
+    solver = Solver(method="cg")
+    walked, _, _ = kernel_module.schedule_kernel_run(d, MEMO_POTENTIAL, trace_sources(d), solver)
+    kernels = kernel_set(d, MEMO_POTENTIAL, solver=solver, with_reference=False).kernels
+    assert kernels.tobytes() == walked.tobytes()
+
+
+def test_short_schedule_walks_to_its_top_level(monkeypatch):
+    # J = 3 ends at k = 8, below max V_h on disk nr=8: the walk still runs
+    d = build_disk(8)
+    full = sample(MEMO_POTENTIAL, d)
+    assert float(np.max(full)) > 8.0
+    levels = []
+    real_walk = kernel_module.walk
+
+    def recording_walk(*args):
+        for level, op, u in real_walk(*args):
+            levels.append(level)
+            yield level, op, u
+
+    monkeypatch.setattr(kernel_module, "walk", recording_walk)
+    solver = Solver(schedule=TruncationSchedule(J=3))
+    kernels = kernel_set(d, MEMO_POTENTIAL, solver=solver, with_reference=False).kernels
+    assert levels == [1.0, 2.0, 4.0, 8.0]
+    top = DiscreteOperator(d, np.minimum(full, 8.0)).solve_load(trace_sources(d), solver)
+    assert kernels.tobytes() == top.tobytes()
+    rep = representation_check(d, MEMO_POTENTIAL, dirac([0.2, -0.1]), solver=solver)
+    assert rep.details["final_level"] == 8.0
 
 
 @given(st.sampled_from(["interval32", "rect12", "disk8"]),

@@ -210,6 +210,7 @@ def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch
 
 
 def test_wide_kernel_walk_factors_every_level(factorizations, monkeypatch):
+    # a schedule that ends below max V_h walks the kernels level by level
     calls, live_factored = factorizations
     solved = []
     real_walk = kernel_module.walk
@@ -222,10 +223,15 @@ def test_wide_kernel_walk_factors_every_level(factorizations, monkeypatch):
 
     monkeypatch.setattr(kernel_module, "walk", recording_walk)
     d = build_disk(32)
-    kernel_set(d, power_distance_potential(1.5), with_reference=False)
+    pot = power_distance_potential(1.5)
+    kernel_set(d, pot, solver=Solver(schedule=TruncationSchedule(J=4)), with_reference=False)
     assert len(solved) > 2 and set(solved) == {128}
     assert len(calls) == len(solved)
     assert live_factored == [0] * len(calls)
+    # the default schedule reaches max V_h: one solve, one factorization
+    solved.clear()
+    kernel_set(d, pot, with_reference=False)
+    assert solved == [] and len(calls) == 6
 
 
 def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
