@@ -3,9 +3,10 @@ and grid-refinement studies, with CSV/JSON reports.
 
 Exit status: 0 when everything ran and passed, 1 when a check failed, 2 for
 configuration or usage errors (the diagnostic names the offending key).
-Outputs are deterministic for a fixed config: floats are printed with %.17g,
-JSON keys are sorted, and the only randomness (energy perturbations) is seeded
-from the config.
+Outputs are deterministic for a fixed config: each CSV block is printed with
+one row template (ints and bools %d, floats %.17g, names %s), JSON keys are
+sorted, and the only randomness (energy perturbations) is seeded from the
+config.
 """
 
 from __future__ import annotations
@@ -38,29 +39,27 @@ from .verify import (
 FLOAT_FMT = "%.17g"
 
 
-def _format_column(col) -> list:
-    """One column's cells as text: ints and bools via ``str(int)``, floats via FLOAT_FMT."""
-    col = np.asarray(col)
-    if col.dtype.kind in "biu":
-        return [str(x) for x in col.astype(np.int64).tolist()]
-    if col.dtype.kind == "f":
-        return [FLOAT_FMT % x for x in col.tolist()]
-    return col.tolist()
-
-
 def _write_csv(path: str, header, blocks) -> None:
     """Write ``schema=1``, the header, then each block's rows.
 
-    A block is a sequence of equal-length columns (arrays or lists), and each
-    column is formatted once.  Nothing is quoted: every string cell is a case
-    name the program makes (``boundary_node_<i>``, ``trace_nonnegative_h_<h>``
-    or a fixed name), none with a comma, quote or newline.
+    A block is a sequence of equal-length columns (arrays or lists).  Each
+    block is one printf: a row template built from the column dtypes (ints
+    and bools ``%d``, floats FLOAT_FMT, anything else ``%s``), repeated once
+    per row and filled with the cells row by row.  Nothing is quoted: every
+    string cell is a case name the program makes (``boundary_node_<i>``,
+    ``trace_nonnegative_h_<h>`` or a fixed name), none with a comma, quote or
+    newline.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("schema=1\n" + ",".join(header) + "\n")
         for block in blocks:
-            cells = [_format_column(col) for col in block]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            cols = [np.asarray(col) for col in block]
+            row = ",".join("%d" if c.dtype.kind in "biu" else FLOAT_FMT if c.dtype.kind == "f"
+                           else "%s" for c in cols) + "\n"
+            cells = [None] * (len(cols) * len(cols[0]))
+            for j, c in enumerate(cols):
+                cells[j::len(cols)] = c.tolist()
+            fh.write((row * len(cols[0])) % tuple(cells))
 
 
 def _json_default(obj):

@@ -80,13 +80,14 @@ class VerifyReport:
 
 def _case(name: str, residual: float, tolerance: float, left: float = 0.0,
           right: float = 0.0, **inputs) -> CheckCase:
-    residual = float(residual)
+    # adding 0.0 turns -0.0 into 0.0, so no report prints "-0"
+    left, right, residual, tolerance = (float(x) + 0.0 for x in (left, right, residual, tolerance))
     return CheckCase(
         name=name,
-        left=float(left),
-        right=float(right),
+        left=left,
+        right=right,
         residual=residual,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=bool(residual <= tolerance),
         inputs=inputs,
     )
@@ -364,8 +365,7 @@ def hopf_certificate(
     # principle, and the distance-weighted norm is a sufficient condition,
     # so its convergence forces certification
     cases = (
-        _case("trace_positive", max(-lo, 0.0) if lo <= 0.0 else 0.0, 0.0,
-              left=lo, right=0.0),
+        _case("trace_positive", float(not lo > 0.0), 0.0, left=lo, right=0.0),
         _case("sufficient_condition_consistent",
               1.0 if (not wl1.divergent and not certified) else 0.0, 0.0,
               left=float(not wl1.divergent), right=float(certified)),

@@ -7,8 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stlab.cli import main
+from stlab.cli import FLOAT_FMT, _write_csv, main
 from stlab.config import (
     KEYS,
     ConfigError,
@@ -17,6 +18,7 @@ from stlab.config import (
     load_config,
     parse_config_text,
 )
+from stlab.operator import solve_truncated_limit
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -334,11 +336,73 @@ def test_cli_study_reports_refinement_table(tmp_path):
 def test_cli_csv_floats_round_trip(tmp_path):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.375,1.0\n")
     out = tmp_path / "rt"
-    main(["solve", "--config", cfg, "--out", str(out)])
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     _, rows = read_csv(out / "solution.csv")
-    vals = [float(r[4]) for r in rows[1:]]
-    # %.17g preserves doubles exactly
-    assert any(v != round(v, 6) for v in vals)
+    run = load_config(cfg)
+    domain = run.build_domain()
+    u, _ = solve_truncated_limit(domain, run.build_potential(), run.build_measure(domain),
+                                 run.build_solver())
+    cells = [r[rows[0].index("value")] for r in rows[1:]]
+    assert len(cells) == u.values.size
+    # %.17g gives back every double exactly
+    assert all(float(cell) == v for cell, v in zip(cells, u.values.tolist()))
+
+
+_SPECIAL_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   1e300, -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0)
+_COLUMN_CELLS = {
+    "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    "int": st.one_of(st.sampled_from((0, -1, 1, -2**63, 2**63 - 1)),
+                     st.integers(min_value=-2**63, max_value=2**63 - 1)),
+    "bool": st.booleans(),
+    "name": st.one_of(st.sampled_from(("boundary_node_3", "trace_nonnegative_h_0.03125",
+                                       "100%_%d_%s_%%")),
+                      st.text(alphabet="abcxyz_019.-%", min_size=1, max_size=12)),
+}
+_COLUMN_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_, "name": np.str_}
+
+
+def _reference_csv(header, blocks) -> bytes:
+    """What _write_csv must print, formatted one cell at a time."""
+    def cell(x):
+        if isinstance(x, (bool, int, np.bool_, np.integer)):
+            return str(int(x))
+        if isinstance(x, float):
+            return FLOAT_FMT % x
+        return str(x)
+
+    lines = ["schema=1", ",".join(header)]
+    for block in blocks:
+        lines += [",".join(cell(x) for x in row) for row in zip(*block)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, data):
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1, max_size=5))
+    sizes = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3))
+    sizes.insert(data.draw(st.integers(min_value=0, max_value=len(sizes))), 0)
+    blocks = []
+    for n in sizes:
+        block = []
+        for kind in kinds:
+            values = data.draw(st.lists(_COLUMN_CELLS[kind], min_size=n, max_size=n))
+            # callers pass numpy columns and plain lists alike
+            as_array = data.draw(st.booleans())
+            block.append(np.array(values, dtype=_COLUMN_DTYPES[kind]) if as_array else values)
+        blocks.append(tuple(block))
+    header = [f"{kind}{j}" for j, kind in enumerate(kinds)]
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    _write_csv(str(path), header, blocks)
+    assert path.read_bytes() == _reference_csv(header, blocks)
+
+
+def test_write_csv_prints_percent_in_names_literally(tmp_path):
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), ("case", "residual", "passed"),
+               [(["100%_%d_%s_%%"], [-0.0], [True]), ([], [], [])])
+    assert path.read_text() == "schema=1\ncase,residual,passed\n100%_%d_%s_%%,-0,1\n"
 
 
 def test_cli_format_flag_csv_only(tmp_path, capsys):

@@ -23,6 +23,7 @@ from stlab import (
     zero_potential,
 )
 from stlab import kernel as kernel_module
+from stlab import verify as verify_module
 from stlab.operator import DEFAULT_TOL, DiscreteOperator
 from stlab.verify import (
     comparison_check,
@@ -206,6 +207,19 @@ def test_certificate_rejects_hardy_potential(interval64):
     assert rep.details["weighted_l1_divergent"]
     # rejection is a verdict, not a broken invariant
     assert rep.passed
+
+
+@pytest.mark.parametrize("lo", [0.0, -0.0, -1e-3, np.nan])
+def test_certificate_fails_without_positive_trace_minimum(monkeypatch, lo):
+    # a zero minimum is not positive, whatever its sign bit; nan is not positive either
+    monkeypatch.setattr(verify_module, "_trace_extrema", lambda *args: (lo, 1.0))
+    rep = hopf_certificate(build_disk(8), zero_potential())
+    case = rep.cases[0]
+    assert case.name == "trace_positive"
+    assert not case.passed and not rep.passed
+    assert rep.verdict == "rejected"
+    # cases store +0.0, so no CSV cell prints "-0"
+    assert np.signbit(case.left) == (lo < 0.0)
 
 
 def test_certified_potentials_have_no_degenerate_kernels(interval64):
