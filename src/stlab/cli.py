@@ -212,9 +212,7 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int) -> int:
     if len(cfg["checks"]) != 1:
         raise ConfigError("config key 'checks': a study runs exactly one check")
     name = cfg["checks"][0]
-    domains = [cfg.build_domain()]
-    for _ in range(levels - 1):
-        domains.append(domains[-1].refine())
+    domains = list(cfg.build_domain().ladder(levels - 1))
     if not all(b.h < a.h for a, b in zip(domains, domains[1:])):
         raise ConfigError("config key 'study.levels': levels must refine")
 

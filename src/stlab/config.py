@@ -32,6 +32,7 @@ from .measure import (
 from .operator import METHODS, Solver
 from .potential import (
     Potential,
+    PotentialError,
     TruncationSchedule,
     constant_potential,
     interior_singularity_potential,
@@ -331,6 +332,12 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
             raise ConfigError(
                 f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
             )
+
+    # levels() computes base**j up to j = J, which must not overflow a float
+    try:
+        TruncationSchedule(J=values["schedule.j"], base=values["schedule.base"])
+    except PotentialError as exc:
+        raise ConfigError(f"config key 'schedule.j': {exc}") from None
 
     return RunConfig(values, tuple(atoms))
 

@@ -63,7 +63,6 @@ class Domain:
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
     _operators: dict | None = field(default=None, init=False, repr=False)
-    _adjoints: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # the stiffness matrix and the operator caches are built from these
@@ -161,6 +160,15 @@ class Domain:
     def refine(self) -> "Domain":
         """The same domain with every resolution doubled."""
         return build_domain(self.kind, **{k: 2 * v for k, v in self.resolution.items()})
+
+    def ladder(self, refinements: int):
+        """This grid and then ``refinements`` successive refinements, each
+        built only when the previous one has been consumed."""
+        grid = self
+        yield grid
+        for _ in range(refinements):
+            grid = grid.refine()
+            yield grid
 
 
 def _axis_pairs(pos: float, n_nodes: int) -> list[tuple[int, float]]:

@@ -10,19 +10,22 @@ disk); with absorption they can only shrink, never grow, by inverse
 monotonicity of the M-matrix system.
 
 Singular potentials have a discrete limit: the grid samples V finitely, so
-min(V_h, k) = V_h from the first schedule level k >= max V_h on, every later
-level solves the same system, and one solve with the full sample is the
-schedule limit.  Only a schedule that ends below max V_h walks its levels,
-and its limit is the kernels of the top level.
+min(V_h, k) = V_h from the first schedule level k >= max V_h on, and every
+later level solves the same system.  The kernels of every potential are
+therefore one solve at one level L: the bound of a bounded potential, else
+the first schedule level at or above max V_h, else the schedule's top level
+(a schedule that ends below max V_h stops there).  Only
+``truncation_kernels``, which reports every level, walks the schedule.
 
-Every adjoint solve goes through ``DiscreteOperator.solve_load``.  Inside
-``cached_operators(domain)`` it is memoized as well, so checks that need the
+Every adjoint solve goes through ``DiscreteOperator.solve_load``, and its
+kernels are memoized on the operator that produced them, keyed by the sample
+indices and trace order (they determine the adjoint sources) and the
+``Solver``.  The memo lives as long as its operator: inside
+``cached_operators(domain)`` for the whole block, so checks that need the
 kernels of the same boundary nodes (``representation`` and ``inequalities``
-with every node sampled) share one solve.  The key holds every input of the
-result: the sample indices and trace order (they determine the adjoint
-sources), the sampled potential, its bound (a bounded potential reports its
-bound as the level, not a schedule level) and the ``Solver``.  A memoized
-kernel array is read-only, so no consumer can change what a later one reads.
+with every node sampled) share one solve; outside it for one call.  A
+memoized kernel array is read-only, so no consumer can change what a later
+one reads.
 """
 
 from __future__ import annotations
@@ -69,9 +72,7 @@ def trace_sources(domain: Domain, samples=None, order: int = 1) -> np.ndarray:
 class KernelSet:
     """Duality kernels for a set of boundary nodes, one column per node.
 
-    ``reference`` holds the zero-potential kernels on the same samples when
-    requested; the degeneracy flag marks kernels whose L1 norm fell below
-    1e-10 times the reference norm (absorption killed the boundary node).
+    ``reference`` holds the zero-potential kernels of the same samples, when requested.
     """
 
     domain: Domain
@@ -79,10 +80,20 @@ class KernelSet:
     kernels: np.ndarray
     potential_label: str
     reference: np.ndarray | None
-    degenerate: np.ndarray
 
     def l1_norms(self) -> np.ndarray:
         return np.abs(self.kernels).T @ self.domain.volumes
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Mask of kernels whose L1 norm fell below DEGENERACY_FACTOR times
+        their reference's (absorption killed the boundary node), or times
+        the largest norm of the set when there is no reference."""
+        l1 = self.l1_norms()
+        if self.reference is None:
+            return l1 < DEGENERACY_FACTOR * max(float(l1.max()), 1e-300)
+        ref_l1 = np.abs(self.reference).T @ self.domain.volumes
+        return l1 < DEGENERACY_FACTOR * np.maximum(ref_l1, 1e-300)
 
     def pair_measure(self, measure: Measure) -> np.ndarray:
         """Pairing of every kernel with a measure: densities by volume
@@ -90,69 +101,28 @@ class KernelSet:
         return self.kernels.T @ load_vector(measure, self.domain)
 
 
-def schedule_kernel_run(
-    domain: Domain,
-    potential: Potential,
-    rhs: np.ndarray,
-    solver: Solver | None = None,
-    stop_early: bool = True,
-    collect: list | None = None,
-) -> tuple[np.ndarray, DiscreteOperator, float]:
-    """Solve the adjoint system level by level along the schedule; returns
-    the last level's kernels, its operator and its level.  ``collect``
-    receives the kernel array of every level run.
-
-    The walk stops at the first saturated level (truncation no longer
-    changes the sampled potential).  Without ``stop_early`` it runs the whole
-    schedule, and saturated levels repeat the previous kernels: the discrete
-    problem is identical, so recomputing could only add factorization noise.
-    """
-    prev = op = final_level = None
-    for level, op, P in walk(domain, potential, rhs, solver):
-        if P is None:
-            if stop_early:
-                break
-            P = prev
-        final_level = level
-        if collect is not None:
-            collect.append(P)
-        prev = P
-    return prev, op, final_level
-
-
 def _adjoint_solve(domain: Domain, potential: Potential, idx: np.ndarray, order: int,
                    solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Kernels of the boundary nodes ``idx`` for the trace of ``order``, the
-    operator that produced them and its level.
-
-    A bounded potential, or one whose sample max V_h some schedule level
-    reaches, takes one solve with the full sample; the level is the bound, or the first
-    schedule level at or above max V_h (the level where a walk saturates).
-    A schedule that ends below max V_h is walked to its top level.  Inside
-    ``cached_operators(domain)`` the result is memoized (see the module
-    docstring).
+    operator that produced them and its level L (see the module docstring):
+    one solve on the operator of min(V_h, L), memoized on that operator.  A
+    bounded potential keeps its whole sample, as ``assemble`` does.
     """
     solver = solver or Solver()
     full = sample(potential, domain)
-    memo = domain._adjoints
-    if memo is not None:
-        key = (tuple(idx.tolist()), order, full.tobytes(), potential.bound, solver)
-        if key in memo:
-            return memo[key]
-    rhs = trace_sources(domain, idx, order)
     if potential.is_bounded():
         level = float(potential.bound)
     else:
-        level = next((k for k in solver.schedule.levels() if k >= full.max()), None)
-    if level is None:
-        result = schedule_kernel_run(domain, potential, rhs, solver)
-    else:
-        op = _operator_for(domain, full)
-        result = op.solve_load(rhs, solver), op, level
-    if memo is not None:
-        result[0].flags.writeable = False
-        memo[key] = result
-    return result
+        levels = solver.schedule.levels()
+        level = next((k for k in levels if k >= full.max()), levels[-1])
+        full = np.minimum(full, level)
+    op = _operator_for(domain, full)
+    key = (tuple(idx.tolist()), order, solver)
+    if key not in op._kernels:
+        kernels = op.solve_load(trace_sources(domain, idx, order), solver)
+        kernels.flags.writeable = False
+        op._kernels[key] = kernels
+    return op._kernels[key], op, level
 
 
 def kernel_set(
@@ -173,20 +143,8 @@ def kernel_set(
         ref = assemble(domain, zero_potential()).solve_load(trace_sources(domain, idx, order), solver)
     else:
         ref = None
-    l1 = np.abs(P).T @ domain.volumes
-    if ref is not None:
-        ref_l1 = np.abs(ref).T @ domain.volumes
-        degenerate = l1 < DEGENERACY_FACTOR * np.maximum(ref_l1, 1e-300)
-    else:
-        degenerate = l1 < DEGENERACY_FACTOR * max(float(l1.max()), 1e-300)
-    return KernelSet(
-        domain=domain,
-        samples=idx,
-        kernels=P,
-        potential_label=potential.label,
-        reference=ref,
-        degenerate=degenerate,
-    )
+    return KernelSet(domain=domain, samples=idx, kernels=P, potential_label=potential.label,
+                     reference=ref)
 
 
 def duality_kernel(
@@ -209,10 +167,20 @@ def truncation_kernels(
     stop_early: bool = True,
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
-    the last entry agrees with duality_kernel to the solver tolerance."""
-    mats: list[np.ndarray] = []
-    schedule_kernel_run(domain, potential, trace_sources(domain, [a]), solver, stop_early, mats)
-    return [Field(domain, m[:, 0].copy()) for m in mats]
+    the last entry agrees with duality_kernel to the solver tolerance.
+
+    The walk stops at the first saturated level (truncation no longer changes
+    the sampled potential); without ``stop_early`` saturated levels repeat
+    the previous kernel, since the discrete problem is the same.
+    """
+    fields: list[Field] = []
+    kernel = None
+    for _, _, u in walk(domain, potential, trace_sources(domain, [a]), solver):
+        if u is None and stop_early:
+            break
+        kernel = kernel if u is None else u[:, 0]
+        fields.append(Field(domain, kernel.copy()))
+    return fields
 
 
 def positivity_set(
@@ -237,6 +205,7 @@ def positivity_set(
 def kernel_summary(kset: KernelSet) -> dict:
     """JSON-ready summary: per-node min, max, L1 norm, degeneracy flag."""
     l1 = kset.l1_norms()
+    degenerate = kset.degenerate
     return {
         "domain": kset.domain.kind,
         "resolution": dict(kset.domain.resolution),
@@ -249,7 +218,7 @@ def kernel_summary(kset: KernelSet) -> dict:
                 "min": float(kset.kernels[:, col].min()),
                 "max": float(kset.kernels[:, col].max()),
                 "l1_norm": float(l1[col]),
-                "degenerate": bool(kset.degenerate[col]),
+                "degenerate": bool(degenerate[col]),
             }
             for col, a in enumerate(kset.samples)
         ],

@@ -115,6 +115,7 @@ class DiscreteOperator:
         self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
         self._lu = None
         self._near = None  # the factored operator of a nearby walk level, while unfactored
+        self._kernels = {}  # read-only adjoint kernels, see kernel._adjoint_solve
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
                    guess: np.ndarray | None = None) -> np.ndarray:
@@ -204,22 +205,18 @@ def cached_operators(domain: Domain):
     direct solve on an operator that a walk left unfactored runs PCG on the
     factor the walk linked it to.
 
-    The block also shares adjoint kernels: ``kernel._adjoint_solve`` keeps
-    its read-only result, keyed by the sample indices and trace order (they
-    determine the adjoint sources), the potential sample and bound, and the
-    ``Solver``, so two checks that need the same kernels solve for them
-    once.
+    Adjoint kernels are memoized on their operator (see ``stlab.kernel``),
+    so inside the block two checks that need the same kernels solve for them
+    once, and the memo is dropped with the operators.
 
     Only a grid that several computations solve on gains: on a grid built
     for one schedule walk the cache would hold factors nobody reuses.
     """
     domain._operators = {}
-    domain._adjoints = {}
     try:
         yield
     finally:
         domain._operators = None
-        domain._adjoints = None
 
 
 def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:

@@ -129,8 +129,12 @@ class TruncationSchedule:
     def __post_init__(self):
         if self.J < 1:
             raise PotentialError("schedule needs J >= 1")
-        if self.base <= 1.0:
-            raise PotentialError("schedule base must exceed 1")
+        if not 1.0 < self.base < math.inf:
+            raise PotentialError("schedule base must be finite and exceed 1")
+        try:
+            float(self.base) ** self.J
+        except OverflowError:
+            raise PotentialError(f"schedule top level {self.base}**{self.J} overflows") from None
 
     def levels(self) -> list[float]:
         return [float(self.base) ** j for j in range(self.J + 1)]
@@ -178,12 +182,7 @@ def weighted_l1(potential: Potential, domain: Domain, refinements: int = 3) -> W
     """
     if refinements < 1:
         raise PotentialError("weighted_l1 needs at least one refinement")
-    history = []
-    dom = domain
-    for level in range(refinements + 1):
-        vals = sample(potential, dom)
-        history.append(float(np.sum(vals * dom.distances * dom.volumes)))
-        if level < refinements:
-            dom = dom.refine()
+    history = [float(np.sum(sample(potential, dom) * dom.distances * dom.volumes))
+               for dom in domain.ladder(refinements)]
     divergent = ladder_diverges(history)
     return WeightedL1Result(value=history[-1], divergent=divergent, history=tuple(history))

@@ -270,14 +270,10 @@ def hopf_check(
                 details={"positivity_fraction": float(np.mean(mask))},
             )
 
-    grids = [domain]
-    for _ in range(refinements):
-        grids.append(grids[-1].refine())
-
     per_grid = []
     table = []
     cases = []
-    for g in grids:
+    for g in domain.ladder(refinements):
         diag, rows = _trace_levels(g, potential, measure, solver, order)
         _, lo, hi = rows[-1]
         per_grid.append({
@@ -347,17 +343,13 @@ def hopf_certificate(
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     source = density_measure(uniform_density(1.0))
-    grids = [domain]
-    for _ in range(refinements):
-        grids.append(grids[-1].refine())
     history = []
-    theta = None
-    for g in grids:
+    for g in domain.ladder(refinements):
         theta = Field(g, assemble(g, zero_potential()).solve_load(load_vector(source, g), solver))
         history.append(float(np.sum(sample(potential, g) * theta.values * g.volumes)))
     divergent = ladder_diverges(history)
     ratios = [b / a if abs(a) > 0.0 else 1.0 for a, b in zip(history, history[1:])]
-    lo, _ = _trace_extrema(grids[-1], theta, order)
+    lo, _ = _trace_extrema(g, theta, order)
     certified = (not divergent) and lo > 0.0
 
     wl1 = weighted_l1(potential, domain)

@@ -474,6 +474,18 @@ def test_cli_invalid_potential_parameter_exits_two(tmp_path, capsys, text, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "schedule.j = 1100\n",
+    "schedule.base = 1e200\nschedule.j = 2\n",
+], ids=["j", "base"])
+def test_cli_overflowing_schedule_exits_two(tmp_path, capsys, text):
+    # base**J past the largest float would raise OverflowError from levels()
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n"
+                + "potential.family = power_distance\npotential.alpha = 1.5\n" + text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "'schedule.j'" in capsys.readouterr().err
+
+
 def test_cli_trace_order_two_reaches_verify_and_kernel(tmp_path, monkeypatch):
     """On the golden disk configs, order 2 changes both sides of the
     representation identity and the kernels; the identity still holds."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import build_domain, build_interval, build_disk, build_rectangle
-from stlab.domain import DomainError
+from stlab.domain import Domain, DomainError
 
 
 def test_interval_counts():
@@ -147,6 +147,19 @@ def test_refine_doubles_every_resolution():
         r = d.refine()
         assert r.resolution == doubled
         assert _domain_digest(r) == _domain_digest(build_domain(d.kind, **doubled))
+
+
+def test_ladder_builds_each_refinement_on_demand(monkeypatch):
+    d = build_interval(8)
+    builds = []
+    real_refine = Domain.refine
+    monkeypatch.setattr(Domain, "refine", lambda self: builds.append(self) or real_refine(self))
+    rungs = d.ladder(2)
+    assert next(rungs) is d and builds == []
+    assert next(rungs).resolution == {"n": 16} and len(builds) == 1
+    assert next(rungs).resolution == {"n": 32} and len(builds) == 2
+    assert next(rungs, None) is None and len(builds) == 2
+    assert list(d.ladder(0)) == [d]
 
 
 def test_neighbor_indices_valid():

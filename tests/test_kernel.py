@@ -36,7 +36,7 @@ from stlab.cli import main
 from stlab.domain import DomainError
 from stlab.kernel import kernel_summary, resolve_samples, trace_sources
 from stlab.measure import load_vector
-from stlab.operator import DiscreteOperator, cached_operators
+from stlab.operator import DiscreteOperator, cached_operators, walk
 
 
 def test_interval_harmonic_kernel_closed_form(interval64):
@@ -316,9 +316,7 @@ def test_operator_scope_shares_adjoint_kernels(adjoint_solves):
     lambda d: {"solver": Solver(tol=1e-9)},
     lambda d: {"solver": Solver(schedule=TruncationSchedule(J=8))},
     lambda d: {"potential": power_distance_potential(2.0)},
-    # the same sample, but bounded: its level is the bound, not a schedule level
-    lambda d: {"potential": table_potential(sample(MEMO_POTENTIAL, d))},
-], ids=["samples", "order", "tol", "schedule", "alpha", "bounded"])
+], ids=["samples", "order", "tol", "schedule", "alpha"])
 def test_adjoint_memo_misses_on_any_changed_input(adjoint_solves, change):
     d = build_disk(8)
     args = {"potential": MEMO_POTENTIAL, "samples": None, "solver": None, "order": 1}
@@ -330,13 +328,42 @@ def test_adjoint_memo_misses_on_any_changed_input(adjoint_solves, change):
     assert adjoint_solves["solves"] == 1
 
 
+def test_bounded_sample_shares_the_unbounded_solve(adjoint_solves):
+    # the memo lives on the operator of the sample; a bound changes only the level
+    d = build_disk(8)
+    bounded = table_potential(sample(MEMO_POTENTIAL, d))
+    with cached_operators(d):
+        first = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+        adjoint_solves["solves"] = 0
+        assert kernel_set(d, bounded, with_reference=False).kernels is first
+        assert adjoint_solves["solves"] == 0
+        rep = representation_check(d, bounded, dirac([0.2, -0.1]))
+    assert rep.details["final_level"] == bounded.bound
+
+
+def test_kernels_outside_a_scope_are_read_only_and_not_kept(adjoint_solves):
+    d = build_disk(8)
+    first = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    # the memo went with its operator: a second call solves again
+    second = kernel_set(d, MEMO_POTENTIAL, with_reference=False).kernels
+    assert adjoint_solves["solves"] == 2
+    assert second is not first and second.tobytes() == first.tobytes()
+
+
+def _last_solved_level(d, pot, solver=None):
+    """Level and solution of the last level a kernel walk over every node solves."""
+    return [(k, u) for k, _, u in walk(d, pot, trace_sources(d), solver) if u is not None][-1]
+
+
 @given(st.sampled_from(["rect12", "disk8"]), st.floats(min_value=0.5, max_value=2.5))
 def test_kernels_are_the_saturated_walks_last_level(grid, alpha):
     # min(V_h, k) = V_h from the first level k >= max V_h on, so one solve with
     # the full sample gives the kernels and the level of the saturated walk
     d = {"rect12": lambda: build_rectangle(12), "disk8": lambda: build_disk(8)}[grid]()
     pot = power_distance_potential(alpha)
-    walked, _, level = kernel_module.schedule_kernel_run(d, pot, trace_sources(d))
+    level, walked = _last_solved_level(d, pot)
     assert level >= float(np.max(sample(pot, d)))
     assert kernel_set(d, pot, with_reference=False).kernels.tobytes() == walked.tobytes()
     rep = representation_check(d, pot, dirac([0.45, 0.4] if grid == "rect12" else [0.2, -0.1]))
@@ -346,16 +373,23 @@ def test_kernels_are_the_saturated_walks_last_level(grid, alpha):
 def test_cg_kernels_are_the_saturated_walks_last_level():
     d = build_disk(8)
     solver = Solver(method="cg")
-    walked, _, _ = kernel_module.schedule_kernel_run(d, MEMO_POTENTIAL, trace_sources(d), solver)
+    _, walked = _last_solved_level(d, MEMO_POTENTIAL, solver)
     kernels = kernel_set(d, MEMO_POTENTIAL, solver=solver, with_reference=False).kernels
     assert kernels.tobytes() == walked.tobytes()
 
 
-def test_short_schedule_walks_to_its_top_level(monkeypatch):
-    # J = 3 ends at k = 8, below max V_h on disk nr=8: the walk still runs
-    d = build_disk(8)
+SHORT = Solver(schedule=TruncationSchedule(J=3))  # ends at k = 8, below max V_h on disk nr=8
+
+
+def _top_level_solve(d, samples=None):
     full = sample(MEMO_POTENTIAL, d)
     assert float(np.max(full)) > 8.0
+    return DiscreteOperator(d, np.minimum(full, 8.0)).solve_load(trace_sources(d, samples), SHORT)
+
+
+def test_short_schedule_solves_its_top_level_once(factorizations, monkeypatch):
+    calls, _ = factorizations
+    d = build_disk(8)
     levels = []
     real_walk = kernel_module.walk
 
@@ -365,13 +399,18 @@ def test_short_schedule_walks_to_its_top_level(monkeypatch):
             yield level, op, u
 
     monkeypatch.setattr(kernel_module, "walk", recording_walk)
-    solver = Solver(schedule=TruncationSchedule(J=3))
-    kernels = kernel_set(d, MEMO_POTENTIAL, solver=solver, with_reference=False).kernels
-    assert levels == [1.0, 2.0, 4.0, 8.0]
-    top = DiscreteOperator(d, np.minimum(full, 8.0)).solve_load(trace_sources(d), solver)
-    assert kernels.tobytes() == top.tobytes()
-    rep = representation_check(d, MEMO_POTENTIAL, dirac([0.2, -0.1]), solver=solver)
+    kernels = kernel_set(d, MEMO_POTENTIAL, solver=SHORT, with_reference=False).kernels
+    assert levels == [] and len(calls) == 1
+    assert kernels.tobytes() == _top_level_solve(d).tobytes()
+    rep = representation_check(d, MEMO_POTENTIAL, dirac([0.2, -0.1]), solver=SHORT)
     assert rep.details["final_level"] == 8.0
+
+
+def test_one_column_short_schedule_kernel_is_the_top_level_solve():
+    # a load of at most PCG_COLUMNS columns is a direct solve too, not PCG on a walk's factor
+    d = build_disk(8)
+    kernel = duality_kernel(d, MEMO_POTENTIAL, 0, SHORT).values
+    assert kernel.tobytes() == _top_level_solve(d, [0])[:, 0].tobytes()
 
 
 @given(st.sampled_from(["interval32", "rect12", "disk8"]),

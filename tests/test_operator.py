@@ -28,7 +28,6 @@ from stlab import (
     uniform_density,
     zero_potential,
 )
-from stlab import kernel as kernel_module
 from stlab import operator as operator_module
 from stlab.kernel import trace_sources
 from stlab.measure import load_vector, total_variation
@@ -209,29 +208,17 @@ def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch
     assert walk_factorizations == levels
 
 
-def test_wide_kernel_walk_factors_every_level(factorizations, monkeypatch):
-    # a schedule that ends below max V_h walks the kernels level by level
+def test_wide_short_schedule_factors_once(factorizations):
+    # a schedule that ends below max V_h solves the kernels at its top level
     calls, live_factored = factorizations
-    solved = []
-    real_walk = kernel_module.walk
-
-    def recording_walk(*args):
-        for level, op, u in real_walk(*args):
-            if u is not None:
-                solved.append(u.shape[1])
-            yield level, op, u
-
-    monkeypatch.setattr(kernel_module, "walk", recording_walk)
     d = build_disk(32)
     pot = power_distance_potential(1.5)
     kernel_set(d, pot, solver=Solver(schedule=TruncationSchedule(J=4)), with_reference=False)
-    assert len(solved) > 2 and set(solved) == {128}
-    assert len(calls) == len(solved)
-    assert live_factored == [0] * len(calls)
-    # the default schedule reaches max V_h: one solve, one factorization
-    solved.clear()
+    assert len(calls) == 1
+    # the default schedule reaches max V_h: one solve with the full sample
     kernel_set(d, pot, with_reference=False)
-    assert solved == [] and len(calls) == 6
+    assert len(calls) == 2
+    assert live_factored == [0, 0]
 
 
 def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):

@@ -132,6 +132,14 @@ def test_schedule_levels():
     assert TruncationSchedule(J=3, base=3.0).levels()[-1] == pytest.approx(27.0)
 
 
+@pytest.mark.parametrize("J,base", [(1100, 2.0), (2, 1e200)], ids=["j", "base"])
+def test_schedule_rejects_an_overflowing_top_level(J, base):
+    with pytest.raises(PotentialError, match="overflows"):
+        TruncationSchedule(J=J, base=base)
+    with pytest.raises(PotentialError, match="finite"):
+        TruncationSchedule(J=J, base=float("inf"))
+
+
 def test_boundedness_flags():
     assert zero_potential().is_bounded()
     assert constant_potential(7.0).is_bounded()
