@@ -16,23 +16,24 @@ available as ``method="cg"``.  A ``Solver`` value carries the settings of
 every solve of a run: tolerance, method, iteration cap and truncation
 schedule.
 
-The truncation-schedule walk ``walk`` factors the first level it solves and
-links each later unfactored level to the factor it holds.  Since
+The truncation-schedule walk ``walk`` keeps the last operator it factored
+and hands it to ``solve_load`` as ``near`` for each later level.  Since
 ``min(V,k) <= min(V,2k) <= 2 min(V,k)``, that factor is a spectrally
-equivalent preconditioner, so ``solve_load`` solves a linked operator with at
-most ``PCG_COLUMNS`` load columns by conjugate gradients preconditioned with
-it, warm-started from the previous level's solution in the walk and from zero
-in a later solve.  A column that misses ``PCG_BUDGET`` iterations has the
-operator factored afresh, and the next levels link to that factor; outside an
-operator cache the stale factor is dropped first, so a walk holds at most one.
-Wider loads factor the linked operator: there a many-column triangular solve
-costs more than a refactorization.  Every path enforces the relative-residual
-postcondition.
+equivalent preconditioner, so an unfactored level with at most
+``PCG_COLUMNS`` load columns is solved by conjugate gradients preconditioned
+with it, warm-started from the previous level's solution.  A column that
+misses ``PCG_BUDGET`` iterations has the level factored afresh, and that
+factor becomes ``near`` for the next levels; wider loads factor every level,
+since there a many-column triangular solve costs more than a
+refactorization.  Outside an operator cache ``near``'s factor is dropped
+before the new one is made, so a walk holds one factor at a time.  The link
+lives only in the walk: a solve outside it never sees another operator's
+factor.  Every path enforces the relative-residual postcondition.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ from .potential import Potential, PotentialError, TruncationSchedule, sample
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
 METHODS = ("auto", "direct", "cg")
-PCG_COLUMNS = 2  # loads with more columns factor a linked operator
-PCG_BUDGET = 30  # PCG iterations per column before a linked operator is factored
+PCG_COLUMNS = 2  # loads with more columns factor each walk level
+PCG_BUDGET = 30  # PCG iterations per column before a walk level is factored
 
 
 class SolverError(RuntimeError):
@@ -114,48 +115,38 @@ class DiscreteOperator:
         self.v_values = v_values
         self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
         self._lu = None
-        self._near = None  # the factored operator of a nearby walk level, while unfactored
         self._kernels = {}  # read-only adjoint kernels, see kernel._adjoint_solve
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
-                   guess: np.ndarray | None = None) -> np.ndarray:
+                   guess: np.ndarray | None = None,
+                   near: DiscreteOperator | None = None) -> np.ndarray:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
-        A direct solve uses this operator's LU factor, made on first use;
-        an unfactored operator that a walk linked to a nearby level's factor
-        is solved by PCG on that factor from ``guess`` (see the module
-        docstring).
+        A direct solve uses this operator's LU factor, made on first use.
+        Until then a load of at most PCG_COLUMNS columns is solved by CG
+        preconditioned with the factor of ``near`` (a nearby level of a walk,
+        see the module docstring) from ``guess``, stopped at 1e-2 * solver.tol;
+        a column that misses PCG_BUDGET iterations factors this operator.
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
+        u = None
         if not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
-        else:
-            u = self._pcg(load, solver, guess)
-            if u is None:
-                if self._lu is None:
-                    if self._near is not None and self.domain._operators is None:
-                        self._near._lu = None  # nothing outside a cache reuses the stale factor
-                    self._near = None
-                    self._lu = spla.splu(self.system)
-                u = self._lu.solve(load)
+        elif (self._lu is None and near is not None and near._lu is not None
+              and load.reshape(len(load), -1).shape[1] <= PCG_COLUMNS):
+            precond = spla.LinearOperator(self.system.shape, matvec=near._lu.solve, dtype=float)
+            with suppress(SolverError):  # a column missed the budget: factor below
+                u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
+        if u is None:
+            if self._lu is None:
+                if near is not None and self.domain._operators is None:
+                    near._lu = None  # outside a cache nothing reuses near's factor
+                self._lu = spla.splu(self.system)
+            u = self._lu.solve(load)
         self._check_residual(u, load, solver.tol)
         return u
-
-    def _pcg(self, load: np.ndarray, solver: Solver, guess: np.ndarray | None) -> np.ndarray | None:
-        """CG preconditioned with the linked factor, stopped at 1e-2 *
-        solver.tol; None when there is none to use or a column misses
-        PCG_BUDGET iterations."""
-        near = self._near
-        if (self._lu is not None or near is None or near._lu is None
-                or load.reshape(len(load), -1).shape[1] > PCG_COLUMNS):
-            return None
-        precond = spla.LinearOperator(self.system.shape, matvec=near._lu.solve, dtype=float)
-        try:
-            return self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
-        except SolverError:
-            return None
 
     def _cg(self, load: np.ndarray, precond, max_iter: int, rtol: float,
             guess: np.ndarray | None = None) -> np.ndarray:
@@ -201,9 +192,8 @@ def _operator_for(domain: Domain, v_values: np.ndarray) -> DiscreteOperator:
 def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
     sample, among all solves on ``domain`` inside the block; dropped on exit.
-    Every solve still goes through ``DiscreteOperator.solve_load``, so a
-    direct solve on an operator that a walk left unfactored runs PCG on the
-    factor the walk linked it to.
+    A walk keeps every factor it makes here, and a direct solve outside a
+    walk on an operator that a walk solved by PCG factors it.
 
     Adjoint kernels are memoized on their operator (see ``stlab.kernel``),
     so inside the block two checks that need the same kernels solve for them
@@ -247,8 +237,8 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
     solver's schedule, yielding (k, operator of min(V, k), solution of
     K_k u = load).
 
-    Each level is solved by ``solve_load``, linked to the factor of the last
-    level factored and warm-started from the previous solution (see the
+    Each level is solved by ``solve_load`` with the last operator the walk
+    factored as ``near`` and the previous solution as ``guess`` (see the
     module docstring).  A level whose truncation equals the last solved one
     is saturated: the discrete problem is unchanged, so it is yielded with
     that level's operator and solution None, and so is every level after it
@@ -257,18 +247,16 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
     """
     solver = solver or Solver()
     full = sample(potential, domain)
-    op = u = None
+    op = u = near = None  # near: the last operator the walk solved with its own factor
     for level in solver.schedule.levels():
         vals = np.minimum(full, level)
         if op is not None and np.array_equal(vals, op.v_values):
             yield level, op, None
             continue
-        # the last factor the walk solved with: the last level's own or its link
-        near = op._near if op is not None and op._lu is None else op
         op = _operator_for(domain, vals)
-        if op._lu is None:
-            op._near = near
-        u = op.solve_load(load, solver, u)
+        u = op.solve_load(load, solver, u, near)
+        if op._lu is not None:
+            near = op
         yield level, op, u
 
 
@@ -276,14 +264,15 @@ class _L1Limit:
     """Stop rule of monotone limits, one per column of the walk's solutions.
 
     A column stops when the L1 distance between its consecutive iterates
-    drops below ``stop_tol``; a saturated level stops every column and is
-    recorded with distance 0.  The walk ends when no column runs, and each
-    level records the largest distance over the columns still running.
+    drops below 1e-8 times the measure's total variation (at least 1e-8); a
+    saturated level stops every column and is recorded with distance 0.  The
+    walk ends when no column runs, and each level records the largest
+    distance over the columns still running.
     """
 
-    def __init__(self, domain: Domain, stop_tol: float, columns: int = 1):
+    def __init__(self, domain: Domain, tv: float, columns: int = 1):
         self.vol = domain.volumes
-        self.stop_tol = stop_tol
+        self.stop_tol = 1e-8 * max(tv, 1.0)
         self.levels: list = []
         self.dists: list = []
         self.u = None  # latest iterate of every column, frozen once it stops
@@ -345,15 +334,14 @@ def solve_truncated_limit(
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
     Signed measures are split and the two nonnegative parts solved as two
-    columns of one walk, each its own monotone limit with its own stop.
-    Early stop when the L1 distance between consecutive iterates falls below
-    1e-8 times the measure's total variation (at least 1e-8).
+    columns of one walk, each its own monotone limit with the stop rule of
+    ``_L1Limit``.
     """
     tv = total_variation(measure, domain)
     if not np.isfinite(tv):
         raise ValueError("measure has infinite total variation")
     parts = (measure,) if is_nonnegative(measure, domain) else split_signed(measure, domain)
-    limit = _L1Limit(domain, 1e-8 * max(tv, 1.0), len(parts))
+    limit = _L1Limit(domain, tv, len(parts))
     load = np.column_stack([load_vector(p, domain) for p in parts])
     for level, _, u in walk(domain, potential, load, solver):
         if limit.step(level, u):

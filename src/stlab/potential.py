@@ -70,8 +70,11 @@ def table_potential(values, bound: float | None = None) -> Potential:
     vals = np.asarray(values, dtype=float)
     if np.any(vals < 0.0):
         raise PotentialError("potentials must be nonnegative")
+    top = float(vals.max()) if vals.size else 0.0
     if bound is None:
-        bound = float(vals.max()) if vals.size else 0.0
+        bound = top
+    elif not bound >= top:
+        raise PotentialError(f"table bound {bound} lies below the largest value {top}")
     return Potential("table", {"values": vals}, bound=bound, label="table")
 
 

@@ -37,7 +37,7 @@ from .operator import (
     solve_truncated_limit,
     walk,
 )
-from .potential import Potential, sample, weighted_l1, zero_potential
+from .potential import Potential, ladder_diverges, sample, weighted_l1, zero_potential
 from .trace import normal_derivative
 
 SLACK_RATE = 5.0  # discretization slack factor (1 + SLACK_RATE * h) on the estimates
@@ -217,7 +217,7 @@ def _trace_levels(domain: Domain, potential: Potential, measure: Measure, solver
                   order: int):
     """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
     taken in the walk itself; a saturated level repeats the previous row."""
-    limit = _L1Limit(domain, 1e-8 * max(total_variation(measure, domain), 1.0))
+    limit = _L1Limit(domain, total_variation(measure, domain))
     rows = []
     for level, _, u in walk(domain, potential, load_vector(measure, domain)[:, None], solver):
         extrema = (rows[-1][1:] if u is None
@@ -338,8 +338,6 @@ def hopf_certificate(
     profile to be positive.  The distance-weighted L1 norm of the potential is
     reported alongside as the classical sufficient condition.
     """
-    from .potential import ladder_diverges
-
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")
     source = density_measure(uniform_density(1.0))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stlab import cli
 from stlab.cli import FLOAT_FMT, _write_csv, main
 from stlab.config import (
     KEYS,
@@ -18,6 +19,7 @@ from stlab.config import (
     load_config,
     parse_config_text,
 )
+from stlab.domain import Domain
 from stlab.operator import solve_truncated_limit
 
 
@@ -331,6 +333,19 @@ def test_cli_study_reports_refinement_table(tmp_path):
     # sits at the solver floor and the observed order is reported as inf
     assert report["at_solver_floor"] is True
     assert report["observed_order"] == pytest.approx(np.inf) or report["observed_order"] >= 0.8
+
+
+def test_cli_study_builds_each_grid_after_the_previous_check(tmp_path, monkeypatch):
+    # the study holds one refinement at a time: no grid is built ahead of its turn
+    events = []
+    real_refine, real_check = Domain.refine, cli._run_check
+    monkeypatch.setattr(Domain, "refine", lambda self: events.append("build") or real_refine(self))
+    monkeypatch.setattr(cli, "_run_check",
+                        lambda name, cfg, d: events.append("check") or real_check(name, cfg, d))
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nchecks = representation\n"
+                          "measure.atom = 0.5,1.0\n")
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "s"), "--levels", "3"]) == 0
+    assert events == ["check", "build", "check", "build", "check"]
 
 
 def test_cli_csv_floats_round_trip(tmp_path):

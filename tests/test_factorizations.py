@@ -1,6 +1,6 @@
 """Factorization counts: at most one LU factorization per distinct operator,
-and one per few-column schedule walk, later solves on its last level
-included; one all-node kernel solve per verify run.
+and one per few-column schedule walk; one all-node kernel solve per verify
+run.
 
 ``scipy.sparse.linalg.splu`` is wrapped to count factorizations; a distinct
 matrix is a distinct (grid, truncated potential) pair.

@@ -236,6 +236,36 @@ def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
     assert pcg == []
 
 
+def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkeypatch):
+    # the walk's PCG link is the walk's own: a later solve on a level the walk
+    # left unfactored factors that level instead of running PCG
+    calls, _ = factorizations
+    d = build_disk(8)
+    load = load_vector(dirac([0.2, -0.1]), d)
+    with cached_operators(d):
+        steps = list(walk(d, power_distance_potential(1.5), load))
+        left = [op for _, op, u in steps if u is not None and op._lu is None]
+        assert left and len(calls) == 1
+        pcg = []
+        real_cg = spla.cg
+        monkeypatch.setattr(spla, "cg",
+                            lambda *args, **kwargs: pcg.append(args) or real_cg(*args, **kwargs))
+        left[-1].solve_load(load)
+    assert len(calls) == 2 and left[-1]._lu is not None
+    assert pcg == []
+
+
+def test_wide_walk_holds_one_factor_at_a_time(factorizations):
+    calls, live_factored = factorizations
+    d = build_disk(8)
+    steps = list(walk(d, power_distance_potential(1.5), trace_sources(d)))
+    solved = [u for _, _, u in steps if u is not None]
+    # more columns than PCG_COLUMNS: every level is factored, and the walk drops
+    # the previous factor first, although the yielded operators are all still held
+    assert len(calls) == len(solved) > 2
+    assert live_factored == [0] * len(calls)
+
+
 def test_walk_solves_every_level_through_solve_load(monkeypatch):
     solves = []
     real_solve = DiscreteOperator.solve_load

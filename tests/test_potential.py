@@ -148,6 +148,15 @@ def test_boundedness_flags():
     assert table_potential(np.minimum(sample(power_distance_potential(1.5), d), 8.0)).is_bounded()
 
 
+def test_table_bound_must_cover_every_value():
+    # a bound below the sample would be reported while the solve uses the sample
+    with pytest.raises(PotentialError, match="below the largest value"):
+        table_potential(np.full(15, 5.0), bound=1.0)
+    assert table_potential(np.full(15, 5.0), bound=5.0).bound == 5.0
+    assert table_potential(np.full(15, 5.0), bound=8.0).bound == 8.0
+    assert table_potential(np.full(15, 5.0)).bound == 5.0
+
+
 def test_ladder_divergence_detector():
     # geometric growth trips the ratio test
     assert ladder_diverges([1.0, 2.0, 4.0])
