@@ -214,20 +214,14 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int) -> int:
         reports.append(report)
         rows.append((d.h, _study_level(report), _study_residual(report)))
 
-    orders = []
-    for (_, _, r0), (_, _, r1) in zip(rows, rows[1:]):
-        if r1 > 0.0 and r0 > 0.0:
-            orders.append(float(np.log2(r0 / r1)))
-        else:
-            orders.append(float("inf"))
+    # an order without a finite value is None (JSON null)
+    orders = [float(np.log2(r0 / r1)) if r0 > 0.0 and r1 > 0.0 else None
+              for (_, _, r0), (_, _, r1) in zip(rows, rows[1:])]
     floor = 10.0 * cfg["solver.tol"]
     at_floor = all(r <= floor for _, _, r in rows)
-    if at_floor:
-        observed = float("inf")  # residuals sit at the solver floor; no h-dependence
-    elif rows[-1][2] > 0.0:
+    observed = None  # at the solver floor the residuals have no h-dependence
+    if not at_floor and rows[0][2] > 0.0 and rows[-1][2] > 0.0:
         observed = float(np.log2(rows[0][2] / rows[-1][2]) / (len(rows) - 1))
-    else:
-        observed = float("inf")
 
     if "csv" in formats:
         _write_csv(os.path.join(out_dir, "study.csv"), ("h", "k", "residual"),

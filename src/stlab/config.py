@@ -240,6 +240,9 @@ class RunConfig:
     def build_measure(self, domain: Domain) -> Measure:
         m = Measure()
         for atom in self.atoms:
+            if not domain.contains(np.array(atom[:-1]))[0]:
+                raise ConfigError(f"config key 'measure.atom': atom at {atom[:-1]} is not "
+                                  f"strictly inside the {domain.kind}")
             m = m + dirac(atom[:-1], atom[-1])
         if self["measure.density"] is not None:
             make, defaults = DENSITIES[self["measure.density"]]
@@ -332,6 +335,11 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
             raise ConfigError(
                 f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
             )
+
+    # only conjugate gradients reads an iteration cap
+    if values["solver.method"] == "direct" and "solver.max_iter" in texts:
+        raise ConfigError("config key 'solver.max_iter': solver.method = direct takes no "
+                          "iteration cap")
 
     # levels() computes base**j up to j = J, which must not overflow a float
     try:

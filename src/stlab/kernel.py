@@ -175,10 +175,10 @@ def truncation_kernels(
     """
     fields: list[Field] = []
     kernel = None
-    for _, _, u in walk(domain, potential, trace_sources(domain, [a]), solver):
+    for _, _, u in walk(domain, potential, trace_sources(domain, [a])[:, 0], solver):
         if u is None and stop_early:
             break
-        kernel = kernel if u is None else u[:, 0]
+        kernel = kernel if u is None else u
         fields.append(Field(domain, kernel.copy()))
     return fields
 

@@ -16,25 +16,23 @@ available as ``method="cg"``.  A ``Solver`` value carries the settings of
 every solve of a run: tolerance, method, iteration cap and truncation
 schedule.
 
-The truncation-schedule walk ``walk`` keeps the last operator it factored
-and hands it to ``solve_load`` as ``near`` for each later level.  Since
-``min(V,k) <= min(V,2k) <= 2 min(V,k)``, that factor is a spectrally
-equivalent preconditioner, so an unfactored level with at most
-``PCG_COLUMNS`` load columns is solved by conjugate gradients preconditioned
-with it, warm-started from the previous level's solution.  A column that
-misses ``PCG_BUDGET`` iterations has the level factored afresh, and that
-factor becomes ``near`` for the next levels; wider loads factor every level,
-since there a many-column triangular solve costs more than a
-refactorization.  Outside an operator cache ``near``'s factor is dropped
-before the new one is made, so a walk holds one factor at a time.  The link
-lives only in the walk: a solve outside it never sees another operator's
-factor.  Every path enforces the relative-residual postcondition.
+The truncation-schedule walk ``walk`` carries one load vector, keeps the
+last operator it factored and hands it to ``solve_load`` as ``near`` for each
+later level.  Since ``min(V,k) <= min(V,2k) <= 2 min(V,k)``, that factor is a
+spectrally equivalent preconditioner, so an unfactored level is solved by
+conjugate gradients preconditioned with it, warm-started from the previous
+level's solution.  A level that misses ``PCG_BUDGET`` iterations is factored
+afresh, and that factor becomes ``near`` for the next levels.  Outside an
+operator cache ``near``'s factor is dropped before the new one is made, so a
+walk holds one factor at a time.  The link lives only in the walk: a solve
+outside it never sees another operator's factor.  Every path enforces the
+relative-residual postcondition.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,14 +40,13 @@ import scipy.sparse.linalg as spla
 
 from .domain import Domain
 from .fields import Field
-from .measure import Measure, is_nonnegative, load_vector, split_signed, total_variation
+from .measure import Measure, is_nonnegative, load_vector, total_variation
 from .potential import Potential, PotentialError, TruncationSchedule, sample
 
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
 METHODS = ("auto", "direct", "cg")
-PCG_COLUMNS = 2  # loads with more columns factor each walk level
-PCG_BUDGET = 30  # PCG iterations per column before a walk level is factored
+PCG_BUDGET = 30  # PCG iterations before a walk level is factored
 
 
 class SolverError(RuntimeError):
@@ -123,10 +120,10 @@ class DiscreteOperator:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
         A direct solve uses this operator's LU factor, made on first use.
-        Until then a load of at most PCG_COLUMNS columns is solved by CG
-        preconditioned with the factor of ``near`` (a nearby level of a walk,
-        see the module docstring) from ``guess``, stopped at 1e-2 * solver.tol;
-        a column that misses PCG_BUDGET iterations factors this operator.
+        Until then a load with a ``near`` operator (the walk's last factored
+        level, see the module docstring) is solved by CG preconditioned with
+        near's factor from ``guess``, stopped at 1e-2 * solver.tol; a load
+        that misses PCG_BUDGET iterations factors this operator.
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
@@ -134,10 +131,9 @@ class DiscreteOperator:
         if not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
-        elif (self._lu is None and near is not None and near._lu is not None
-              and load.reshape(len(load), -1).shape[1] <= PCG_COLUMNS):
+        elif self._lu is None and near is not None and near._lu is not None:
             precond = spla.LinearOperator(self.system.shape, matvec=near._lu.solve, dtype=float)
-            with suppress(SolverError):  # a column missed the budget: factor below
+            with suppress(SolverError):  # PCG missed the budget: factor below
                 u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
         if u is None:
             if self._lu is None:
@@ -234,8 +230,8 @@ class TruncationDiagnostics:
 
 def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver | None = None):
     """The truncation-schedule engine: one pass over the levels k of the
-    solver's schedule, yielding (k, operator of min(V, k), solution of
-    K_k u = load).
+    solver's schedule, yielding (k, operator of min(V, k), solution vector of
+    K_k u = load) for one load vector.
 
     Each level is solved by ``solve_load`` with the last operator the walk
     factored as ``near`` and the previous solution as ``guess`` (see the
@@ -261,51 +257,42 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
 
 
 class _L1Limit:
-    """Stop rule of monotone limits, one per column of the walk's solutions.
+    """Stop rule of a monotone limit over the walk's solutions.
 
-    A column stops when the L1 distance between its consecutive iterates
-    drops below 1e-8 times the measure's total variation (at least 1e-8); a
-    saturated level stops every column and is recorded with distance 0.  The
-    walk ends when no column runs, and each level records the largest
-    distance over the columns still running.
+    The walk stops when the L1 distance between consecutive iterates drops
+    below 1e-8 times the measure's total variation (at least 1e-8), or at a
+    saturated level, which is recorded with distance 0.
     """
 
-    def __init__(self, domain: Domain, tv: float, columns: int = 1):
+    def __init__(self, domain: Domain, tv: float):
         self.vol = domain.volumes
         self.stop_tol = 1e-8 * max(tv, 1.0)
         self.levels: list = []
         self.dists: list = []
-        self.u = None  # latest iterate of every column, frozen once it stops
-        self.running = np.ones(columns, dtype=bool)
+        self.u = None  # latest iterate
         self.monotone = True
-        self.saturated = False
+        self.converged = self.saturated = False
 
     def step(self, level: float, u: np.ndarray | None) -> bool:
         """Record one level of the walk; True once the rule ends it."""
         self.levels.append(level)
         if u is None:
-            self.saturated = bool(self.running.all())
-            self.running[:] = False
+            self.converged = self.saturated = True
             self.dists.append(0.0)
-        elif self.u is None:
-            self.u = u
-        else:
-            run = np.flatnonzero(self.running)
-            dist = [float(np.sum(np.abs(u[:, j] - self.u[:, j]) * self.vol)) for j in run]
-            self.dists.append(max(dist))
-            if np.any(u[:, run] > self.u[:, run] + 1e-9):
-                self.monotone = False
-            self.u[:, run] = u[:, run]
-            self.running[run[np.array(dist) < self.stop_tol]] = False
-        return not self.running.any()
+            return True
+        if self.u is not None:
+            self.dists.append(float(np.sum(np.abs(u - self.u) * self.vol)))
+            self.monotone = self.monotone and not np.any(u > self.u + 1e-9)
+            self.converged = self.dists[-1] < self.stop_tol
+        self.u = u
+        return self.converged
 
     def diagnostics(self) -> TruncationDiagnostics:
         return TruncationDiagnostics(
             levels=tuple(self.levels),
             l1_distances=tuple(self.dists),
-            # the parts of a signed measure are separate columns: no order to report
-            monotone=self.monotone if self.u.shape[1] == 1 else None,
-            converged=not self.running.any(),
+            monotone=self.monotone,
+            converged=self.converged,
             final_level=self.levels[-1],
             saturated=self.saturated,
         )
@@ -333,21 +320,21 @@ def solve_truncated_limit(
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
-    Signed measures are split and the two nonnegative parts solved as two
-    columns of one walk, each its own monotone limit with the stop rule of
-    ``_L1Limit``.
+    The problem is linear in the measure, so a signed measure walks its one
+    load vector like a nonnegative one, with the stop rule of ``_L1Limit``;
+    only its iterates have no order to report (``monotone`` None).
     """
     tv = total_variation(measure, domain)
     if not np.isfinite(tv):
         raise ValueError("measure has infinite total variation")
-    parts = (measure,) if is_nonnegative(measure, domain) else split_signed(measure, domain)
-    limit = _L1Limit(domain, tv, len(parts))
-    load = np.column_stack([load_vector(p, domain) for p in parts])
-    for level, _, u in walk(domain, potential, load, solver):
+    limit = _L1Limit(domain, tv)
+    for level, _, u in walk(domain, potential, load_vector(measure, domain), solver):
         if limit.step(level, u):
             break
-    u = limit.u[:, 0] if len(parts) == 1 else limit.u[:, 0] - limit.u[:, 1]
-    return Field(domain, u), limit.diagnostics()
+    diag = limit.diagnostics()
+    if not is_nonnegative(measure, domain):
+        diag = replace(diag, monotone=None)
+    return Field(domain, limit.u), diag
 
 
 def _density_load(domain: Domain, source: Measure) -> np.ndarray:

@@ -219,9 +219,8 @@ def _trace_levels(domain: Domain, potential: Potential, measure: Measure, solver
     taken in the walk itself; a saturated level repeats the previous row."""
     limit = _L1Limit(domain, total_variation(measure, domain))
     rows = []
-    for level, _, u in walk(domain, potential, load_vector(measure, domain)[:, None], solver):
-        extrema = (rows[-1][1:] if u is None
-                   else _trace_extrema(domain, Field(domain, u[:, 0]), order))
+    for level, _, u in walk(domain, potential, load_vector(measure, domain), solver):
+        extrema = rows[-1][1:] if u is None else _trace_extrema(domain, Field(domain, u), order)
         rows.append((float(level), *extrema))
         if limit.step(level, u):
             break

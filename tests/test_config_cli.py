@@ -330,9 +330,9 @@ def test_cli_study_reports_refinement_table(tmp_path):
     report = json.loads((out / "study.json").read_text())
     assert report["check"] == "representation"
     # both sides are evaluated through the same operator, so the identity
-    # sits at the solver floor and the observed order is reported as inf
+    # sits at the solver floor and the observed order has no finite value: null
     assert report["at_solver_floor"] is True
-    assert report["observed_order"] == pytest.approx(np.inf) or report["observed_order"] >= 0.8
+    assert report["observed_order"] is None
 
 
 def test_cli_study_builds_each_grid_after_the_previous_check(tmp_path, monkeypatch):
@@ -466,7 +466,9 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, 
     ("potential.family = constant\npotential.alpha = 1.5\n", "potential.alpha"),
     ("measure.density.alpha = 0.3\n", "measure.density.alpha"),
     ("measure.density = uniform\nmeasure.density.scale = 2\n", "measure.density.scale"),
-], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform"])
+    ("solver.method = direct\nsolver.max_iter = 50\n", "solver.max_iter"),
+], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform",
+        "max_iter-direct"])
 def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
@@ -487,6 +489,19 @@ def test_cli_invalid_potential_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, text + "checks = representation\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("solve", "domain.kind = interval\nmeasure.atom = 0.0,1\n"),
+    ("verify", "domain.kind = interval\nmeasure.atom = 1.2,1\nchecks = representation\n"),
+    ("solve", "domain.kind = disk\nmeasure.atom = 0.8,0.8,1\n"),
+    ("study", "domain.kind = rectangle\nmeasure.atom = 0.5,1.0,1\nchecks = representation\n"),
+], ids=["interval-endpoint", "interval-outside", "disk", "rectangle-edge"])
+def test_cli_atom_outside_the_domain_exits_two(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'measure.atom'" in err and "not strictly inside" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,5 @@
 """Factorization counts: at most one LU factorization per distinct operator,
-and one per few-column schedule walk; one all-node kernel solve per verify
+and one per one-vector schedule walk; one all-node kernel solve per verify
 run.
 
 ``scipy.sparse.linalg.splu`` is wrapped to count factorizations; a distinct

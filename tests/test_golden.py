@@ -7,6 +7,8 @@ the per-level hopf trace extrema, the schedule diagnostics of a saturating,
 signed solve and the row layout of the kernel table.
 """
 
+import glob
+import json
 import os
 
 import pytest
@@ -31,3 +33,14 @@ def test_cli_outputs_match_golden(tmp_path, command, name):
         with open(os.path.join(expected_dir, fname), "rb") as fh:
             expected = fh.read()
         assert (out / fname).read_bytes() == expected, fname
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(GOLDEN, "*", "*.json"))),
+                         ids=os.path.basename)
+def test_golden_json_is_strict(path):
+    with open(path, encoding="utf-8") as fh:
+        json.load(fh, parse_constant=_reject_constant)

@@ -353,8 +353,11 @@ def test_kernels_outside_a_scope_are_read_only_and_not_kept(adjoint_solves):
 
 
 def _last_solved_level(d, pot, solver=None):
-    """Level and solution of the last level a kernel walk over every node solves."""
-    return [(k, u) for k, _, u in walk(d, pot, trace_sources(d), solver) if u is not None][-1]
+    """The last level a walk solves, and every node's kernel solved afresh there."""
+    load = trace_sources(d, [0])[:, 0]
+    level = [k for k, _, u in walk(d, pot, load, solver) if u is not None][-1]
+    op = DiscreteOperator(d, np.minimum(sample(pot, d), level))
+    return level, op.solve_load(trace_sources(d), solver)
 
 
 @given(st.sampled_from(["rect12", "disk8"]), st.floats(min_value=0.5, max_value=2.5))
@@ -407,7 +410,7 @@ def test_short_schedule_solves_its_top_level_once(factorizations, monkeypatch):
 
 
 def test_one_column_short_schedule_kernel_is_the_top_level_solve():
-    # a load of at most PCG_COLUMNS columns is a direct solve too, not PCG on a walk's factor
+    # a one-column kernel is a direct solve too, not PCG on a walk's factor
     d = build_disk(8)
     kernel = duality_kernel(d, MEMO_POTENTIAL, 0, SHORT).values
     assert kernel.tobytes() == _top_level_solve(d, [0])[:, 0].tobytes()

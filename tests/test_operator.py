@@ -29,7 +29,6 @@ from stlab import (
     zero_potential,
 )
 from stlab import operator as operator_module
-from stlab.kernel import trace_sources
 from stlab.measure import load_vector, total_variation
 from stlab.operator import DiscreteOperator, SolverError, cached_operators, walk
 from stlab.potential import PotentialError
@@ -167,21 +166,21 @@ def test_solver_rejects_invalid_settings(kwargs, field):
 
 
 WALK_CASES = {
-    "rect16-atom": (lambda: build_rectangle(16), [[0.4, 0.55]]),
-    "rect16-signed": (lambda: build_rectangle(16), [[0.4, 0.55], [0.7, 0.3]]),
-    "disk8-atom": (lambda: build_disk(8), [[0.2, -0.1]]),
-    "disk8-signed": (lambda: build_disk(8), [[0.2, -0.1], [-0.3, 0.25]]),
+    "rect16-atom": (lambda: build_rectangle(16), dirac([0.4, 0.55])),
+    "rect16-signed": (lambda: build_rectangle(16), dirac([0.4, 0.55]) + dirac([0.7, 0.3], -1.0)),
+    "disk8-atom": (lambda: build_disk(8), dirac([0.2, -0.1])),
+    "disk8-signed": (lambda: build_disk(8), dirac([0.2, -0.1]) + dirac([-0.3, 0.25], -1.0)),
 }
 
 
 def _walk(name, factorizations):
     """Every level the walk solves beside a fresh direct solve; returns the
     number of levels solved and the factorizations the walk made."""
-    build, atoms = WALK_CASES[name]
+    build, mu = WALK_CASES[name]
     d = build()
     pot = power_distance_potential(1.5)
-    # a signed pair reaches the walk as its two nonnegative parts, two columns
-    load = np.column_stack([load_vector(dirac(x), d) for x in atoms])
+    # a signed pair reaches the walk as one load vector
+    load = load_vector(mu, d)
     solved = [(level, u) for level, _, u in walk(d, pot, load) if u is not None]
     calls, live_factored = factorizations
     walk_factorizations = len(calls)
@@ -228,11 +227,17 @@ def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
     monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: pcg.append(args) or real_cg(*args, **kwargs))
     d = build_disk(8)
     pot = power_distance_potential(1.5)
+    load = load_vector(dirac([0.2, -0.1]), d)
     with cached_operators(d):
-        wide = [u for _, _, u in walk(d, pot, trace_sources(d)) if u is not None]
-        narrow = [u for _, _, u in walk(d, pot, load_vector(dirac([0.2, -0.1]), d))
-                  if u is not None]
-    assert len(narrow) == len(wide) == len(calls) > 2
+        steps = [(op, u) for _, op, u in walk(d, pot, load) if u is not None]
+        assert len(steps) > 2 and len(calls) == 1 and pcg
+        # a solve outside the walk factors each level the walk solved by PCG
+        for op, _ in steps:
+            op.solve_load(load)
+        assert len(calls) == len(steps)
+        pcg.clear()
+        again = [u for _, _, u in walk(d, pot, load) if u is not None]
+    assert len(again) == len(steps) == len(calls)
     assert pcg == []
 
 
@@ -253,17 +258,6 @@ def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkey
         left[-1].solve_load(load)
     assert len(calls) == 2 and left[-1]._lu is not None
     assert pcg == []
-
-
-def test_wide_walk_holds_one_factor_at_a_time(factorizations):
-    calls, live_factored = factorizations
-    d = build_disk(8)
-    steps = list(walk(d, power_distance_potential(1.5), trace_sources(d)))
-    solved = [u for _, _, u in steps if u is not None]
-    # more columns than PCG_COLUMNS: every level is factored, and the walk drops
-    # the previous factor first, although the yielded operators are all still held
-    assert len(calls) == len(solved) > 2
-    assert live_factored == [0] * len(calls)
 
 
 def test_walk_solves_every_level_through_solve_load(monkeypatch):
@@ -307,22 +301,28 @@ def test_hardy_potential_suppresses_solution():
     assert u.values[i] < u0.values[i]
 
 
-@given(st.sampled_from(["interval32", "rect12"]), st.floats(min_value=0.5, max_value=3.0),
+@given(st.sampled_from(["interval32", "rect12", "disk8"]), st.floats(min_value=0.5, max_value=3.0),
        st.integers(min_value=0, max_value=10_000))
-def test_signed_walk_columns_are_monotone(grid, alpha, seed):
-    # each nonnegative part of a signed measure is its own monotone limit
-    d = build_interval(32) if grid == "interval32" else build_rectangle(12)
+def test_signed_walk_is_the_difference_of_monotone_parts(grid, alpha, seed):
+    # the problem is linear in the measure: the signed load's one walk is the
+    # positive part's walk minus the negative part's, and each part's walk is
+    # a monotone limit
+    d = {"interval32": lambda: build_interval(32), "rect12": lambda: build_rectangle(12),
+         "disk8": lambda: build_disk(8)}[grid]()
     rng = np.random.default_rng(seed)
-    locs = rng.uniform(0.1, 0.9, size=(2, d.dim))
+    lo, hi = (-0.5, 0.5) if grid == "disk8" else (0.1, 0.9)
+    locs = rng.uniform(lo, hi, size=(2, d.dim))
     mu = dirac(locs[0], rng.uniform(0.1, 2.0)) + dirac(locs[1], -rng.uniform(0.1, 2.0))
-    load = np.column_stack([load_vector(p, d) for p in split_signed(mu, d)])
+    pot = power_distance_potential(alpha)
+    walks = [walk(d, pot, load_vector(m, d)) for m in (mu, *split_signed(mu, d))]
     prev = None
-    for _, _, u in walk(d, power_distance_potential(alpha), load):
+    for (_, _, u), (_, _, up), (_, _, un) in zip(*walks):
         if u is None:
             break
+        np.testing.assert_allclose(u, up - un, rtol=0.0, atol=1e-12 * np.abs(u).max())
         if prev is not None:
-            assert np.all(u <= prev + 1e-9)
-        prev = u
+            assert np.all(up <= prev[0] + 1e-9) and np.all(un <= prev[1] + 1e-9)
+        prev = up, un
 
 
 def test_schedule_limit_splits_signed_measure(interval64):
