@@ -101,6 +101,7 @@ class Key:
     a choice, or the least length of a float list.  A ``default`` of None
     leaves the key unset.  ``group`` names the echo entry that collects the
     key under its last name segment (grid sizes and family parameters).
+    ``check`` names the one check that reads the key.
     """
 
     name: str
@@ -109,6 +110,7 @@ class Key:
     default: object = None
     group: str | None = None
     closed_lo: bool = False
+    check: str | None = None
 
     def parse(self, text: str, label: str | None = None):
         """The value of ``text``; errors name ``label`` (default: this key)."""
@@ -170,10 +172,10 @@ KEYS = {key.name: key for key in (
     Key("seed", "int", default=0),
     Key("out", "text", default="out"),
     Key("format", "choices", ("csv", "json"), ("csv", "json")),
-    Key("hopf.refinements", "int", (0, np.inf), 1),
-    Key("certificate.refinements", "int", (1, np.inf), 2),
-    Key("comparison.alpha", "float", (0.0, 1.0), 0.5),
-    Key("comparison.epsilon", "float", (0.0, np.inf)),
+    Key("hopf.refinements", "int", (0, np.inf), 1, check="hopf"),
+    Key("certificate.refinements", "int", (1, np.inf), 2, check="hopf_certificate"),
+    Key("comparison.alpha", "float", (0.0, 1.0), 0.5, check="comparison"),
+    Key("comparison.epsilon", "float", (0.0, np.inf), check="comparison"),
     Key("study.levels", "int", (2, np.inf), 3),
 )}
 
@@ -335,6 +337,11 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
             raise ConfigError(
                 f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
             )
+
+    # a check's own keys take effect only when checks lists it
+    for key in KEYS.values():
+        if key.check is not None and key.name in texts and key.check not in values["checks"]:
+            raise ConfigError(f"config key {key.name!r}: checks does not list {key.check}")
 
     # only conjugate gradients reads an iteration cap
     if values["solver.method"] == "direct" and "solver.max_iter" in texts:

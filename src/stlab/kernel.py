@@ -134,7 +134,8 @@ def kernel_set(
     order: int = 1,
 ) -> KernelSet:
     """Duality kernels for the sampled boundary nodes (all nodes by default),
-    representing the trace of ``order``."""
+    representing the trace of ``order``.  The zero-potential reference is
+    one wide solve, by transforms on the disk and the square."""
     idx = resolve_samples(domain, samples)
     P, _, _ = _adjoint_solve(domain, potential, idx, order, solver)
     if potential.family == "zero":

@@ -12,7 +12,11 @@ Every solve and every factorization goes through
 ``DiscreteOperator.solve_load``.  A direct solve uses the operator's cached
 sparse LU factor (one factorization serves every right-hand side, which
 kernel sets rely on); conjugate gradients with a Jacobi preconditioner is
-available as ``method="cg"``.  A ``Solver`` value carries the settings of
+available as ``method="cg"``.  A zero-potential system on the disk or the
+square is solved by fast transforms at any size and with no factor, unless
+the method is "cg": the disk's operator is block-circulant in theta (an rfft
+leaves one tridiagonal system in r per mode), and the square's is
+diagonalized by DST-I on both axes.  A ``Solver`` value carries the settings of
 every solve of a run: tolerance, method, iteration cap and truncation
 schedule.
 
@@ -119,7 +123,9 @@ class DiscreteOperator:
                    near: DiscreteOperator | None = None) -> np.ndarray:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
-        A direct solve uses this operator's LU factor, made on first use.
+        A zero potential on the disk or the square is solved by transforms
+        (``_TRANSFORMS``) unless ``solver.method`` is "cg", whatever the size.
+        Otherwise a direct solve uses this operator's LU factor, made on first use.
         Until then a load with a ``near`` operator (the walk's last factored
         level, see the module docstring) is solved by CG preconditioned with
         near's factor from ``guess``, stopped at 1e-2 * solver.tol; a load
@@ -128,7 +134,10 @@ class DiscreteOperator:
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
         u = None
-        if not _direct(solver, self.domain):
+        transform = _TRANSFORMS.get(self.domain.kind)
+        if transform is not None and solver.method != "cg" and not self.v_values.any():
+            u = transform(self.domain, load.reshape(load.shape[0], -1)).reshape(load.shape)
+        elif not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
         elif self._lu is None and near is not None and near._lu is not None:
@@ -170,6 +179,73 @@ class DiscreteOperator:
         worst = float(np.max(num / den)) if num.size else 0.0
         if not np.all(np.isfinite(u)) or worst > 100.0 * tol:
             raise SolverError(f"linear solve failed the residual check (relative residual {worst:.3e})")
+
+
+def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal systems (``diag``, ``off``) along axis 0,
+    one per entry of axis 1, for the columns on axis 2 of ``rhs``.  No pivoting:
+    every system is positive definite."""
+    gp = np.empty_like(rhs)
+    cp = np.empty_like(off)
+    den = diag[0]
+    gp[0] = rhs[0] / den[:, None]
+    for i in range(1, diag.shape[0]):
+        cp[i - 1] = off[i - 1] / den
+        den = diag[i] - off[i - 1] * cp[i - 1]
+        gp[i] = (rhs[i] - off[i - 1][:, None] * gp[i - 1]) / den[:, None]
+    for i in range(diag.shape[0] - 2, -1, -1):
+        gp[i] -= cp[i][:, None] * gp[i + 1]
+    return gp
+
+
+def _disk_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
+    """Zero-potential solve on the disk: the ring coefficients repeat around
+    each ring, so an rfft along theta leaves one tridiagonal system in r per
+    mode.  Row 0 holds ``ntheta * u_centre`` in mode 0, which keeps that
+    mode's system symmetric, and a decoupled identity row in the others."""
+    nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
+    c = domain.face_coefs  # centre faces, radial faces ring by ring, then angular faces
+    radial = np.concatenate([c[:1], c[nt:(nr - 1) * nt:nt], domain.bface_coefs[:1]])
+    angular = c[(nr - 1) * nt::nt]
+    mode = np.arange(nt // 2 + 1)
+    diag = np.empty((nr, mode.size))
+    diag[0] = 1.0
+    diag[0, 0] = radial[0]
+    diag[1:] = ((radial[:-1] + radial[1:])[:, None]
+                + angular[:, None] * (2.0 - 2.0 * np.cos(2.0 * np.pi * mode / nt)))
+    off = np.repeat(-radial[:-1, None], mode.size, axis=1)
+    off[0, 1:] = 0.0  # the centre couples to mode 0 only
+    rhs = np.zeros((nr, mode.size, cols.shape[1]), dtype=complex)
+    rhs[0, 0] = cols[0]
+    rhs[1:] = np.fft.rfft(cols[1:].reshape(nr - 1, nt, -1), axis=1)
+    x = _thomas(diag, off, rhs)
+    u = np.empty_like(cols)
+    u[0] = x[0, 0].real / nt
+    u[1:] = np.fft.irfft(x[1:], n=nt, axis=1).reshape(-1, cols.shape[1])
+    return u
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I along ``axis`` (its own inverse), as the rfft of the
+    odd extension; numpy.fft keeps scipy.fft out of the import path."""
+    x = np.moveaxis(x, axis, 0)
+    zero = np.zeros((1,) + x.shape[1:])
+    odd = np.fft.rfft(np.concatenate([zero, x, zero, -x[::-1]]), axis=0)
+    return np.moveaxis(-odd[1:x.shape[0] + 1].imag * np.sqrt(0.5 / (x.shape[0] + 1)), 0, axis)
+
+
+def _square_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
+    """Zero-potential solve on the square: the uniform 5-point operator is
+    diagonalized by DST-I on both axes, with eigenvalues
+    ``c (4 - 2cos(pi j/n) - 2cos(pi k/n))``."""
+    n = domain.resolution["n"]
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
+    eig = domain.face_coefs[0] * (lam[:, None] + lam[None, :])
+    f = _dst1(_dst1(cols.reshape(n - 1, n - 1, -1), 0), 1) / eig[:, :, None]
+    return _dst1(_dst1(f, 0), 1).reshape(cols.shape)
+
+
+_TRANSFORMS = {"disk": _disk_transform, "rectangle": _square_transform}
 
 
 def _operator_for(domain: Domain, v_values: np.ndarray) -> DiscreteOperator:

@@ -335,7 +335,9 @@ def hopf_certificate(
     certificate requires the ladder to look convergent (final/previous value
     ratio below 1.5 AND the increments decaying) and the minimum trace of the
     profile to be positive.  The distance-weighted L1 norm of the potential is
-    reported alongside as the classical sufficient condition.
+    reported alongside as the classical sufficient condition.  On the disk
+    and the square each profile is a transform solve (see ``stlab.operator``),
+    so the refined grids make no factor.
     """
     if refinements < 1:
         raise ValueError(f"refinements must be >= 1, got {refinements}")

@@ -72,6 +72,7 @@ CONTEXT = {
     "measure.density.value": [("measure.density", "uniform")],
     "measure.density.alpha": [("measure.density", "power_distance")],
     "measure.density.scale": [("measure.density", "power_distance")],
+    **{key.name: [("checks", key.check)] for key in KEYS.values() if key.check},
 }
 
 
@@ -471,6 +472,19 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, 
         "max_iter-direct"])
 def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hopf.refinements", "2"),
+    ("certificate.refinements", "3"),
+    ("comparison.alpha", "0.3"),
+    ("comparison.epsilon", "0.1"),
+])
+def test_cli_key_of_an_unlisted_check_exits_two(tmp_path, capsys, key, value):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n"
+                f"checks = representation\n{key} = {value}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert repr(key) in capsys.readouterr().err
 

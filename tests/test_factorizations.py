@@ -54,7 +54,8 @@ def test_truncated_limit_factors_once_per_walk(rect16, factorizations, weights):
 def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
     # representation and inequalities share the kernels of every boundary
     # node, which are one solve with the full potential sample, not a walk;
-    # comparison's zero-potential reference kernels are a solve of their own
+    # the zero-potential reference kernels of inequalities are a solve of
+    # their own
     cfg = os.path.join(GOLDEN, "verify_disk.cfg")
     run_cfg = load_config(cfg)
     assert {"representation", "inequalities"} <= set(run_cfg["checks"])
@@ -72,8 +73,10 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command,name,factors", [
-    ("verify", "verify_disk", 6),
-    ("kernel", "kernel_disk", 2),  # the kernels and their zero-potential reference
+    # zero-potential solves on the disk are transforms: the certificate's
+    # profiles and the reference kernels make no factor
+    ("verify", "verify_disk", 3),
+    ("kernel", "kernel_disk", 1),
 ])
 def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors):
     calls, _ = factorizations

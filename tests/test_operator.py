@@ -1,5 +1,9 @@
 """Discrete Schrodinger operator: assembly, solves, schedule limits, energy."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -165,6 +169,73 @@ def test_solver_rejects_invalid_settings(kwargs, field):
         Solver(**kwargs)
 
 
+TRANSFORM_GRIDS = {
+    # ntheta None is the default 4 * nr; the others include odd counts
+    "disk": st.builds(build_disk, st.integers(4, 16), st.none() | st.integers(4, 40)),
+    "rectangle": st.builds(build_rectangle, st.integers(4, 24)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TRANSFORM_GRIDS))
+@given(data=st.data(), columns=st.none() | st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_zero_potential_transform_matches_lu(kind, data, columns, seed):
+    d = data.draw(TRANSFORM_GRIDS[kind])
+    rng = np.random.default_rng(seed)
+    load = rng.standard_normal(d.n_interior if columns is None else (d.n_interior, columns))
+    op = DiscreteOperator(d, np.zeros(d.n_interior))
+    u = op.solve_load(load)
+    assert op._lu is None and u.shape == load.shape
+    op._check_residual(u, load, Solver().tol)
+    ref = spla.splu(op.system).solve(load)
+    np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+
+def _spy_cg(monkeypatch) -> list:
+    """The positional arguments of every later ``spla.cg`` call."""
+    calls = []
+    real_cg = spla.cg
+    monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: calls.append(args) or real_cg(*args, **kwargs))
+    return calls
+
+
+ZERO_POTENTIAL_GRIDS = {
+    "disk": lambda: build_disk(8, 13),
+    "rectangle": lambda: build_rectangle(12),
+    "interval": lambda: build_interval(16),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "direct"])
+@pytest.mark.parametrize("kind", list(ZERO_POTENTIAL_GRIDS))
+def test_zero_potential_solves_factor_only_on_the_interval(factorizations, monkeypatch, method, kind):
+    calls, _ = factorizations
+    cg = _spy_cg(monkeypatch)
+    d = ZERO_POTENTIAL_GRIDS[kind]()
+    op = assemble(d, zero_potential())
+    for load in (np.ones(d.n_interior), np.ones((d.n_interior, 3))):
+        op.solve_load(load, Solver(method=method))
+    assert len(calls) == (kind == "interval")
+    assert cg == []
+
+
+@pytest.mark.parametrize("kind", ["disk", "rectangle"])
+def test_cg_method_solves_zero_potential_by_cg(factorizations, monkeypatch, kind):
+    calls, _ = factorizations
+    cg = _spy_cg(monkeypatch)
+    d = ZERO_POTENTIAL_GRIDS[kind]()
+    assemble(d, zero_potential()).solve_load(np.ones(d.n_interior), Solver(method="cg"))
+    assert cg and calls == []
+
+
+def test_cli_import_leaves_scipy_fft_unloaded():
+    # the transforms use numpy.fft: importing scipy.fft costs every run 0.1 s
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import stlab.cli, sys; sys.exit('scipy.fft' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 WALK_CASES = {
     "rect16-atom": (lambda: build_rectangle(16), dirac([0.4, 0.55])),
     "rect16-signed": (lambda: build_rectangle(16), dirac([0.4, 0.55]) + dirac([0.7, 0.3], -1.0)),
@@ -222,9 +293,7 @@ def test_wide_short_schedule_factors_once(factorizations):
 
 def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
     calls, _ = factorizations
-    pcg = []
-    real_cg = spla.cg
-    monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: pcg.append(args) or real_cg(*args, **kwargs))
+    pcg = _spy_cg(monkeypatch)
     d = build_disk(8)
     pot = power_distance_potential(1.5)
     load = load_vector(dirac([0.2, -0.1]), d)
@@ -251,10 +320,7 @@ def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkey
         steps = list(walk(d, power_distance_potential(1.5), load))
         left = [op for _, op, u in steps if u is not None and op._lu is None]
         assert left and len(calls) == 1
-        pcg = []
-        real_cg = spla.cg
-        monkeypatch.setattr(spla, "cg",
-                            lambda *args, **kwargs: pcg.append(args) or real_cg(*args, **kwargs))
+        pcg = _spy_cg(monkeypatch)
         left[-1].solve_load(load)
     assert len(calls) == 2 and left[-1]._lu is not None
     assert pcg == []
