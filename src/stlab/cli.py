@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         out_dir = args.out if args.out is not None else cfg["out"]
         formats = (cfg["format"] if args.format is None
                    else KEYS["format"].parse(args.format, "--format"))

@@ -101,7 +101,8 @@ class Key:
     a choice, or the least length of a float list.  A ``default`` of None
     leaves the key unset.  ``group`` names the echo entry that collects the
     key under its last name segment (grid sizes and family parameters).
-    ``check`` names the one check that reads the key.
+    ``readers`` names the commands and checks that read the key; empty means
+    every one does.
     """
 
     name: str
@@ -110,7 +111,7 @@ class Key:
     default: object = None
     group: str | None = None
     closed_lo: bool = False
-    check: str | None = None
+    readers: tuple = ()
 
     def parse(self, text: str, label: str | None = None):
         """The value of ``text``; errors name ``label`` (default: this key)."""
@@ -145,6 +146,14 @@ class Key:
         return v
 
 
+# readers of the keys that not every command reads (see ``config_from_pairs``);
+# ``seed`` and ``checks`` stay open to every command, because one config may
+# drive several: acceptance criterion 9 runs solve and verify without energy
+# on one config that sets both
+_MEASURE = ("solve", "representation", "inequalities", "hopf", "energy")
+_TRACE = ("solve", "kernel", "representation", "inequalities", "hopf", "hopf_certificate",
+          "comparison")
+
 KEYS = {key.name: key for key in (
     Key("domain.kind", "choice", ("interval", "disk", "rectangle"), "interval"),
     Key("domain.n", "int", (4, np.inf), 64, group="domain.resolution"),
@@ -155,28 +164,28 @@ KEYS = {key.name: key for key in (
     Key("potential.alpha", "float", (0.0, np.inf), group="potential.params"),
     Key("potential.scale", "float", (0.0, np.inf), group="potential.params", closed_lo=True),
     Key("potential.x0", "floats", 1, group="potential.params"),
-    Key("measure.atom", "floats", 2),
-    Key("measure.density", "choice", tuple(DENSITIES)),
-    Key("measure.density.value", "float", group="measure.density.params"),
-    Key("measure.density.alpha", "float", group="measure.density.params"),
-    Key("measure.density.scale", "float", group="measure.density.params"),
+    Key("measure.atom", "floats", 2, readers=_MEASURE),
+    Key("measure.density", "choice", tuple(DENSITIES), readers=_MEASURE),
+    Key("measure.density.value", "float", group="measure.density.params", readers=_MEASURE),
+    Key("measure.density.alpha", "float", group="measure.density.params", readers=_MEASURE),
+    Key("measure.density.scale", "float", group="measure.density.params", readers=_MEASURE),
     Key("schedule.j", "int", (1, np.inf), 14),
     Key("schedule.base", "float", (1.0, np.inf), 2.0),
     Key("solver.tol", "float", (0.0, np.inf), 1e-10),
     Key("solver.method", "choice", METHODS, "auto"),
     Key("solver.max_iter", "int", (1, np.inf)),
-    Key("trace.order", "int", (1, 2), 1),
+    Key("trace.order", "int", (1, 2), 1, readers=_TRACE),
     Key("checks", "choices", ("representation", "inequalities", "hopf", "hopf_certificate",
                               "comparison", "energy"), ()),
-    Key("samples", "text", default="all"),
+    Key("samples", "text", default="all", readers=("kernel", "representation", "comparison")),
     Key("seed", "int", default=0),
     Key("out", "text", default="out"),
     Key("format", "choices", ("csv", "json"), ("csv", "json")),
-    Key("hopf.refinements", "int", (0, np.inf), 1, check="hopf"),
-    Key("certificate.refinements", "int", (1, np.inf), 2, check="hopf_certificate"),
-    Key("comparison.alpha", "float", (0.0, 1.0), 0.5, check="comparison"),
-    Key("comparison.epsilon", "float", (0.0, np.inf), check="comparison"),
-    Key("study.levels", "int", (2, np.inf), 3),
+    Key("hopf.refinements", "int", (0, np.inf), 1, readers=("hopf",)),
+    Key("certificate.refinements", "int", (1, np.inf), 2, readers=("hopf_certificate",)),
+    Key("comparison.alpha", "float", (0.0, 1.0), 0.5, readers=("comparison",)),
+    Key("comparison.epsilon", "float", (0.0, np.inf), readers=("comparison",)),
+    Key("study.levels", "int", (2, np.inf), 3, readers=("study",)),
 )}
 
 
@@ -284,8 +293,13 @@ class RunConfig:
         return out
 
 
-def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
-    """Build and validate a RunConfig from ordered key/value pairs."""
+def config_from_pairs(pairs: list[tuple[str, str]], command: str | None = None) -> RunConfig:
+    """Build and validate a RunConfig from ordered key/value pairs.
+
+    With a ``command`` (an ``stlab`` subcommand) every set key must have a
+    reader in the run: the command itself, and under verify and study every
+    check that ``checks`` lists.  Without one the config is checked on its own.
+    """
     texts: dict[str, str] = {}
     atoms = []
     for name, text in pairs:
@@ -338,11 +352,6 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
                 f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
             )
 
-    # a check's own keys take effect only when checks lists it
-    for key in KEYS.values():
-        if key.check is not None and key.name in texts and key.check not in values["checks"]:
-            raise ConfigError(f"config key {key.name!r}: checks does not list {key.check}")
-
     # only conjugate gradients reads an iteration cap
     if values["solver.method"] == "direct" and "solver.max_iter" in texts:
         raise ConfigError("config key 'solver.max_iter': solver.method = direct takes no "
@@ -354,15 +363,25 @@ def config_from_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
     except PotentialError as exc:
         raise ConfigError(f"config key 'schedule.j': {exc}") from None
 
+    # a key takes effect only where one of its readers runs
+    if command is not None:
+        running = {command, *values["checks"]} if command in ("verify", "study") else {command}
+        given = {name for name, _ in pairs}
+        for key in KEYS.values():
+            if key.readers and key.name in given and running.isdisjoint(key.readers):
+                raise ConfigError(f"config key {key.name!r}: read by {', '.join(key.readers)}, "
+                                  f"not by this run's {', '.join(sorted(running))}")
+
     return RunConfig(values, tuple(atoms))
 
 
-def load_config(path: str, environ=None) -> RunConfig:
-    """Read a config file and apply environment overrides."""
+def load_config(path: str, command: str | None = None, environ=None) -> RunConfig:
+    """Read a config file, apply environment overrides and validate it for
+    ``command`` (see ``config_from_pairs``)."""
     with open(path, "r", encoding="utf-8") as fh:
         pairs = parse_config_text(fh.read())
     overrides = env_overrides(environ)
     override_keys = {k for k, _ in overrides}
     if "measure.atom" in override_keys:
         pairs = [(k, v) for k, v in pairs if k != "measure.atom"]
-    return config_from_pairs(pairs + overrides)
+    return config_from_pairs(pairs + overrides, command)

@@ -9,12 +9,9 @@ kernels are discrete harmonic measure densities (the Poisson kernel on the
 disk); with absorption they can only shrink, never grow, by inverse
 monotonicity of the M-matrix system.
 
-Singular potentials have a discrete limit: the grid samples V finitely, so
-min(V_h, k) = V_h from the first schedule level k >= max V_h on, and every
-later level solves the same system.  The kernels of every potential are
-therefore one solve at one level L: the bound of a bounded potential, else
-the first schedule level at or above max V_h, else the schedule's top level
-(a schedule that ends below max V_h stops there).  Only
+The kernels of every potential are one solve on the operator of the
+discrete limit, at the level L that ``stlab.operator.limit_operator``
+names; so is the unit-density solve of ``positivity_set``.  Only
 ``truncation_kernels``, which reports every level, walks the schedule.
 
 Every adjoint solve goes through ``DiscreteOperator.solve_load``, and its
@@ -38,8 +35,8 @@ import numpy as np
 from .domain import Domain, DomainError
 from .fields import Field
 from .measure import Measure, density_measure, load_vector, uniform_density
-from .operator import DiscreteOperator, Solver, _operator_for, assemble, solve_truncated_limit, walk
-from .potential import Potential, sample, zero_potential
+from .operator import DiscreteOperator, Solver, assemble, limit_operator, walk
+from .potential import Potential, zero_potential
 from .trace import trace_matrix
 
 DEGENERACY_FACTOR = 1e-10
@@ -104,19 +101,11 @@ class KernelSet:
 def _adjoint_solve(domain: Domain, potential: Potential, idx: np.ndarray, order: int,
                    solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Kernels of the boundary nodes ``idx`` for the trace of ``order``, the
-    operator that produced them and its level L (see the module docstring):
-    one solve on the operator of min(V_h, L), memoized on that operator.  A
-    bounded potential keeps its whole sample, as ``assemble`` does.
+    operator that produced them and its level L: one solve on the operator
+    of ``limit_operator``, memoized on that operator.
     """
     solver = solver or Solver()
-    full = sample(potential, domain)
-    if potential.is_bounded():
-        level = float(potential.bound)
-    else:
-        levels = solver.schedule.levels()
-        level = next((k for k in levels if k >= full.max()), levels[-1])
-        full = np.minimum(full, level)
-    op = _operator_for(domain, full)
+    op, level = limit_operator(domain, potential, solver)
     key = (tuple(idx.tolist()), order, solver)
     if key not in op._kernels:
         kernels = op.solve_load(trace_sources(domain, idx, order), solver)
@@ -155,7 +144,8 @@ def duality_kernel(
     solver: Solver | None = None,
     order: int = 1,
 ) -> Field:
-    """Kernel of one boundary node; schedule limit when the potential is unbounded."""
+    """Kernel of one boundary node; the discrete limit, one solve, when the
+    potential is unbounded."""
     kset = kernel_set(domain, potential, [a], solver, with_reference=False, order=order)
     return Field(domain, kset.kernels[:, 0])
 
@@ -190,17 +180,18 @@ def positivity_set(
     solver: Solver | None = None,
     threshold: float = 1e-10,
 ) -> np.ndarray:
-    """Mask of nodes where the unit-density schedule limit stays positive.
+    """Mask of nodes where the unit-density discrete limit (one solve, see
+    ``limit_operator``) stays positive.
 
     Nodes below ``threshold`` times the peak value are treated as crushed by
     the potential (the strong maximum principle failed there).
     """
-    source = density_measure(uniform_density(1.0))
-    u, _ = solve_truncated_limit(domain, potential, source, solver)
-    peak = float(np.max(u.values))
+    op, _ = limit_operator(domain, potential, solver)
+    u = op.solve_load(load_vector(density_measure(uniform_density(1.0)), domain), solver)
+    peak = float(np.max(u))
     if peak <= 0.0:
         return np.zeros(domain.n_interior, dtype=bool)
-    return u.values > threshold * peak
+    return u > threshold * peak
 
 
 def kernel_summary(kset: KernelSet) -> dict:

@@ -20,6 +20,12 @@ diagonalized by DST-I on both axes.  A ``Solver`` value carries the settings of
 every solve of a run: tolerance, method, iteration cap and truncation
 schedule.
 
+The discrete limit of a potential is one solve on the operator of
+``limit_operator``, which states the level rule.  The schedule is walked only
+where its levels are reported: ``solve_truncated_limit`` (``stlab solve``'s
+schedule, the inequality suite's ``final_level`` and ``monotone``), hopf's
+per-level trace extrema and ``truncation_kernels``.
+
 The truncation-schedule walk ``walk`` carries one load vector, keeps the
 last operator it factored and hands it to ``solve_load`` as ``near`` for each
 later level.  Since ``min(V,k) <= min(V,2k) <= 2 min(V,k)``, that factor is a
@@ -292,6 +298,25 @@ def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
             f"potential {potential.label!r} is unbounded; truncate it or use a schedule solve"
         )
     return _operator_for(domain, sample(potential, domain))
+
+
+def limit_operator(domain: Domain, potential: Potential,
+                   solver: Solver | None = None) -> tuple[DiscreteOperator, float]:
+    """Operator of the discrete limit of the truncation schedule, and its level L.
+
+    The grid samples V finitely, so min(V_h, k) = V_h from the first
+    schedule level k >= max V_h on, and every later level solves the same
+    system: the limit is one solve on the operator of min(V_h, L).  L is the
+    bound of a bounded potential (whose operator is ``assemble``'s), else
+    the first schedule level at or above max V_h, else the schedule's top
+    level (a schedule that ends below max V_h stops there).
+    """
+    if potential.is_bounded():
+        return assemble(domain, potential), float(potential.bound)
+    full = sample(potential, domain)
+    levels = (solver or Solver()).schedule.levels()
+    level = next((k for k in levels if k >= full.max()), levels[-1])
+    return _operator_for(domain, np.minimum(full, level)), level
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ import numpy as np
 
 from .domain import Domain
 
+LADDER_VALUE_RATIO = 1.5  # growth between refinements that flags divergence outright
+LADDER_INCREMENT_RATIO = 0.85  # last increment ratio that flags borderline divergence
+
 
 class PotentialError(ValueError):
     pass
@@ -149,24 +152,22 @@ class WeightedL1Result:
     divergent: bool
     history: tuple  # quadrature value per refinement level
 
-    def __float__(self) -> float:
-        return math.inf if self.divergent else self.value
 
-
-def ladder_diverges(history, value_ratio: float = 1.5, increment_ratio: float = 0.85) -> bool:
+def ladder_diverges(history) -> bool:
     """Divergence test for a refinement ladder of quadrature values.
 
-    Growth by more than ``value_ratio`` between consecutive refinements flags
-    divergence outright.  Borderline (logarithmic) divergence shows up as
-    refinement increments that stop decaying: convergent ladders here decay
-    geometrically (ratio <= ~0.71 for the slowest in-scope family), so a last
-    increment ratio above ``increment_ratio`` raises the flag too.
+    Growth by more than ``LADDER_VALUE_RATIO`` between consecutive
+    refinements flags divergence outright.  Borderline (logarithmic)
+    divergence shows up as refinement increments that stop decaying:
+    convergent ladders here decay geometrically (ratio <= ~0.71 for the
+    slowest in-scope family), so a last increment ratio above
+    ``LADDER_INCREMENT_RATIO`` raises the flag too.
     """
     v = np.asarray(history, dtype=float)
     if v.size < 2:
         return False
     prev = np.maximum(np.abs(v[:-1]), 1e-300)
-    if np.any(v[1:] / prev > value_ratio):
+    if np.any(v[1:] / prev > LADDER_VALUE_RATIO):
         return True
     d = np.diff(v)
     if d.size < 2:
@@ -174,7 +175,7 @@ def ladder_diverges(history, value_ratio: float = 1.5, increment_ratio: float = 
     floor = max(1e-9 * abs(v[-1]), 1e-12)
     if d[-1] <= floor or d[-2] <= floor:
         return False
-    return bool(d[-1] / d[-2] > increment_ratio)
+    return bool(d[-1] / d[-2] > LADDER_INCREMENT_RATIO)
 
 
 def weighted_l1(potential: Potential, domain: Domain, refinements: int = 3) -> WeightedL1Result:

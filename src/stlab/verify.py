@@ -34,6 +34,7 @@ from .operator import (
     _L1Limit,
     _quadratic_energy,
     assemble,
+    limit_operator,
     solve_truncated_limit,
     walk,
 )
@@ -42,6 +43,7 @@ from .trace import normal_derivative
 
 SLACK_RATE = 5.0  # discretization slack factor (1 + SLACK_RATE * h) on the estimates
 COMPARISON_TOL = 1e-8  # absolute slack of the comparison bound eps * zeta <= v
+POSITIVE_FLOOR = 1e-12  # least limit trace minimum of a "positive" hopf verdict
 
 
 @dataclass(frozen=True)
@@ -233,13 +235,12 @@ def hopf_check(
     measure: Measure,
     solver: Solver | None = None,
     refinements: int = 1,
-    positive_floor: float = 1e-12,
     positivity_threshold: float = 1e-10,
     order: int = 1,
 ) -> VerifyReport:
     """Boundary positivity of the schedule-limit trace for nonnegative data.
 
-    Verdicts: "positive" when the minimum trace stays above the floor and
+    Verdicts: "positive" when the minimum trace stays above POSITIVE_FLOOR and
     varies by less than 20% across the last two grids; "obstruction" when the
     maximum trace decreases strictly through the whole schedule without the
     schedule converging (mass crushed by the singularity); otherwise
@@ -295,10 +296,10 @@ def hopf_check(
     last = per_grid[-1]
     if len(per_grid) >= 2:
         a, b = per_grid[-2]["limit_min"], per_grid[-1]["limit_min"]
-        stable = abs(a - b) <= 0.2 * max(abs(a), abs(b), positive_floor)
-        if a > positive_floor and b > positive_floor and stable and last["converged"]:
+        stable = abs(a - b) <= 0.2 * max(abs(a), abs(b), POSITIVE_FLOOR)
+        if a > POSITIVE_FLOOR and b > POSITIVE_FLOOR and stable and last["converged"]:
             verdict = "positive"
-    elif last["limit_min"] > positive_floor and last["converged"]:
+    elif last["limit_min"] > POSITIVE_FLOOR and last["converged"]:
         verdict = "positive"
     if verdict == "inconclusive":
         maxes = last["trace_max"]
@@ -370,7 +371,7 @@ def hopf_certificate(
             "pairing_ratios": ratios,
             "divergent": bool(divergent),
             "trace_min": lo,
-            "weighted_l1": float(wl1) if not wl1.divergent else None,
+            "weighted_l1": wl1.value if not wl1.divergent else None,
             "weighted_l1_divergent": bool(wl1.divergent),
         },
     )
@@ -388,11 +389,12 @@ def comparison_check(
     source is the concave clipped power of the field itself, for small enough
     coefficient.
 
-    The source shape min(v, 1)^alpha is solved once; scaling the coefficient
-    scales the solution linearly, so the largest admissible coefficient is
-    located by a bracketed 20-step bisection on that one solve.  The reported
-    pass case asserts the bound at the requested coefficient (default: half
-    the located threshold).
+    The source shape min(v, 1)^alpha is solved once, at the discrete limit
+    (``limit_operator``); scaling the coefficient scales the solution
+    linearly, so the largest admissible coefficient is located by a
+    bracketed 20-step bisection on that one solve.  The reported pass case
+    asserts the bound at the requested coefficient (default: half the
+    located threshold).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -406,9 +408,8 @@ def comparison_check(
     shape = np.minimum(np.maximum(vv, 0.0), 1.0) ** alpha
 
     solver = solver or Solver()
-    zeta, _ = solve_truncated_limit(
-        domain, potential, density_measure(table_density(shape)), solver)
-    zs = zeta.values
+    op, _ = limit_operator(domain, potential, solver)
+    zs = op.solve_load(load_vector(density_measure(table_density(shape)), domain), solver)
     peak = float(np.max(zs))
 
     def feasible(eps: float) -> bool:

@@ -72,7 +72,6 @@ CONTEXT = {
     "measure.density.value": [("measure.density", "uniform")],
     "measure.density.alpha": [("measure.density", "power_distance")],
     "measure.density.scale": [("measure.density", "power_distance")],
-    **{key.name: [("checks", key.check)] for key in KEYS.values() if key.check},
 }
 
 
@@ -242,7 +241,7 @@ def test_cli_kernel_reports(tmp_path):
 
 
 def test_cli_verify_empty_checklist_passes(tmp_path):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n")
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\n")
     out = tmp_path / "v"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -432,6 +431,56 @@ def test_cli_format_flag_csv_only(tmp_path, capsys):
 
 
 CHECKS = KEYS["checks"].bound
+# who reads each key that not every command reads: the commands, and the checks
+# that verify and study run
+MEASURE_READERS = ("solve", "representation", "inequalities", "hopf", "energy")
+READERS = {
+    "samples": ("kernel", "representation", "comparison"),
+    "study.levels": ("study",),
+    "measure.atom": MEASURE_READERS,
+    "measure.density": MEASURE_READERS,
+    "trace.order": ("solve", "kernel", "representation", "inequalities", "hopf",
+                    "hopf_certificate", "comparison"),
+    "hopf.refinements": ("hopf",),
+    "certificate.refinements": ("hopf_certificate",),
+    "comparison.alpha": ("comparison",),
+    "comparison.epsilon": ("comparison",),
+}
+# (command, listed check): solve and kernel list none, verify and study one each
+RUNS = [("solve", None), ("kernel", None),
+        *[(command, check) for command in ("verify", "study") for check in CHECKS]]
+READ_VALUES = {"samples": "0", "study.levels": "2", "measure.atom": "0.5,1.0",
+               "measure.density": "uniform", "trace.order": "2", "hopf.refinements": "0",
+               "certificate.refinements": "1", "comparison.alpha": "0.25",
+               "comparison.epsilon": "0.5"}
+
+
+def _unread(key):
+    return [(command, check) for command, check in RUNS
+            if command not in READERS[key] and check not in READERS[key]]
+
+
+UNREAD = [(key, command, check) for key in READERS for command, check in _unread(key)]
+
+
+@pytest.mark.parametrize("key,command,check", UNREAD,
+                         ids=[f"{k}-{c}" + (f"-{x}" if x else "") for k, c, x in UNREAD])
+def test_cli_key_that_no_reader_of_the_run_reads_exits_two(tmp_path, capsys, key, command, check):
+    text = f"domain.kind = interval\ndomain.n = 16\n{key} = {READ_VALUES[key]}\n"
+    if check is not None:
+        text += f"checks = {check}\n"
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", READERS)
+def test_every_reader_of_a_key_accepts_it(key):
+    for command, check in RUNS:
+        if (command, check) in _unread(key):
+            continue
+        pairs = [(key, READ_VALUES[key])] + ([("checks", check)] if check else [])
+        assert config_from_pairs(pairs, command) == config_from_pairs(pairs)
 
 
 @pytest.mark.parametrize("command,checks,via_env", [
@@ -443,9 +492,11 @@ CHECKS = KEYS["checks"].bound
 def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, checks, via_env):
     """Every solve of every command goes through the config's solver settings."""
     text = "domain.kind = interval\ndomain.n = 32\nsolver.method = cg\n"
-    # energy takes density sources only; the other checks take the atom
-    text += ("measure.density = uniform\n" if checks == "energy"
-             else "measure.atom = 0.5,1.0\n")
+    # energy takes density sources only; the other readers of the measure take the atom
+    if checks == "energy":
+        text += "measure.density = uniform\n"
+    elif command == "solve" or checks in MEASURE_READERS:
+        text += "measure.atom = 0.5,1.0\n"
     if checks is not None:
         text += f"checks = {checks}\n"
     if via_env:

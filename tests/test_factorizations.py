@@ -72,15 +72,24 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
     assert widths.count(run_cfg.build_domain().n_boundary) == 1
 
 
-@pytest.mark.parametrize("command,name,factors", [
+@pytest.mark.parametrize("command,name,factors,checks", [
     # zero-potential solves on the disk are transforms: the certificate's
     # profiles and the reference kernels make no factor
-    ("verify", "verify_disk", 3),
-    ("kernel", "kernel_disk", 1),
-])
-def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors):
+    ("verify", "verify_disk", 3, None),
+    ("kernel", "kernel_disk", 1, None),
+    # the comparison solve is the discrete limit, on its kernel's operator; it
+    # reads no measure, so the config loses its atom
+    ("verify", "verify_disk", 1, "comparison"),
+], ids=["verify-verify_disk-3", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1"])
+def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors, checks):
     calls, _ = factorizations
     cfg = os.path.join(GOLDEN, f"{name}.cfg")
+    if checks is not None:
+        with open(cfg, encoding="utf-8") as fh:
+            kept = [line for line in fh if not line.startswith(("measure.", "checks"))]
+        cfg = str(tmp_path / "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(kept + [f"checks = {checks}\n"])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == factors
 

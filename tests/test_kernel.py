@@ -11,6 +11,7 @@ from stlab import (
     build_disk,
     build_interval,
     build_rectangle,
+    comparison_check,
     constant_potential,
     density_measure,
     dirac,
@@ -360,6 +361,33 @@ def _last_solved_level(d, pot, solver=None):
     return level, op.solve_load(trace_sources(d), solver)
 
 
+def _limit_solves(d, pot, solver=None):
+    """(load, solution) of every solve that positivity_set and comparison_check
+    make on a fresh grid, the comparison field being node 0's kernel."""
+    v = duality_kernel(d, pot, 0, solver)
+    solves = []
+    real_solve = DiscreteOperator.solve_load
+
+    def solve(self, load, *args, **kwargs):
+        u = real_solve(self, load, *args, **kwargs)
+        solves.append((load, u))
+        return u
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiscreteOperator, "solve_load", solve)
+        positivity_set(d, pot, solver)
+        comparison_check(d, pot, v, solver=solver)
+    return solves
+
+
+def _assert_walks_last_level(d, pot, solves, solver=None):
+    """Each solution equals the last solution a walk of its load yields."""
+    assert len(solves) == 2
+    for load, u in solves:
+        walked = [w for _, _, w in walk(d, pot, load, solver) if w is not None][-1]
+        assert np.max(np.abs(u - walked)) <= 1e-12 * np.max(np.abs(walked))
+
+
 @given(st.sampled_from(["rect12", "disk8"]), st.floats(min_value=0.5, max_value=2.5))
 def test_kernels_are_the_saturated_walks_last_level(grid, alpha):
     # min(V_h, k) = V_h from the first level k >= max V_h on, so one solve with
@@ -371,6 +399,8 @@ def test_kernels_are_the_saturated_walks_last_level(grid, alpha):
     assert kernel_set(d, pot, with_reference=False).kernels.tobytes() == walked.tobytes()
     rep = representation_check(d, pot, dirac([0.45, 0.4] if grid == "rect12" else [0.2, -0.1]))
     assert rep.details["final_level"] == level
+    # the unit density of positivity_set and the comparison source take the same limit
+    _assert_walks_last_level(d, pot, _limit_solves(d, pot))
 
 
 def test_cg_kernels_are_the_saturated_walks_last_level():
@@ -407,6 +437,27 @@ def test_short_schedule_solves_its_top_level_once(factorizations, monkeypatch):
     assert kernels.tobytes() == _top_level_solve(d).tobytes()
     rep = representation_check(d, MEMO_POTENTIAL, dirac([0.2, -0.1]), solver=SHORT)
     assert rep.details["final_level"] == 8.0
+    # the walks of positivity_set's and comparison's loads end unsaturated at k = 8
+    _assert_walks_last_level(d, MEMO_POTENTIAL, _limit_solves(d, MEMO_POTENTIAL, SHORT), SHORT)
+
+
+def test_positivity_and_comparison_solve_their_density_once(monkeypatch):
+    # the discrete limit is one direct solve: no walk level runs PCG
+    d = build_disk(8)
+    v = duality_kernel(d, MEMO_POTENTIAL, 0)
+    counts = {"_cg": 0, "solve_load": 0}
+    for name in counts:
+        real = getattr(DiscreteOperator, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(DiscreteOperator, name, spy)
+    positivity_set(d, MEMO_POTENTIAL)
+    assert counts == {"_cg": 0, "solve_load": 1}
+    comparison_check(d, MEMO_POTENTIAL, v)
+    assert counts == {"_cg": 0, "solve_load": 2}
 
 
 def test_one_column_short_schedule_kernel_is_the_top_level_solve():

@@ -73,20 +73,21 @@ def test_truncation_monotone_in_level(k1, k2):
 
 
 def test_weighted_l1_zero(interval64):
-    assert float(weighted_l1(zero_potential(), interval64)) == 0.0
+    assert weighted_l1(zero_potential(), interval64).value == 0.0
 
 
 def test_weighted_l1_integrable_case():
     # int d^{-3/2} * d = int d^{-1/2} = 2 * sqrt(2) over the unit interval
     w = weighted_l1(power_distance_potential(1.5), build_interval(32))
     assert not w.divergent
-    assert float(w) == pytest.approx(2 * np.sqrt(2), rel=0.05)
+    assert w.value == pytest.approx(2 * np.sqrt(2), rel=0.05)
 
 
 def test_weighted_l1_divergent_case():
     w = weighted_l1(power_distance_potential(2.0), build_interval(32))
     assert w.divergent
-    assert float(w) == np.inf
+    # int d^{-2} * d diverges logarithmically: the quadrature grows with refinement
+    assert w.value == w.history[-1] > w.history[0]
 
 
 def test_weighted_l1_monotone_under_truncation():
