@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import KEYS, ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .domain import Domain, DomainError
 from .kernel import duality_kernel, kernel_set, kernel_summary
 from .measure import MeasureError, total_variation
@@ -81,7 +81,7 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
+def run_solve(cfg: RunConfig, out_dir: str) -> int:
     domain = cfg.build_domain()
     potential = cfg.build_potential()
     measure = cfg.build_measure(domain)
@@ -92,7 +92,7 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
         domain, u, table_potential(v_final), measure, lambda pts: np.ones(pts.shape[0]),
         order=cfg["trace.order"],
     )
-    if "csv" in formats:
+    if "csv" in cfg["format"]:
         coords = ("x",) if domain.dim == 1 else ("x", "y")
         _write_csv(os.path.join(out_dir, "solution.csv"),
                    ("node", *coords, "distance", "volume", "value"),
@@ -102,7 +102,7 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
                    ("boundary", "coord", "value", "surface_weight"),
                    [(np.arange(domain.n_boundary), domain.boundary_coords,
                      tr.values, domain.surface_weights)])
-    if "json" in formats:
+    if "json" in cfg["format"]:
         _write_json(os.path.join(out_dir, "solve.json"), {
             "config": cfg.echo(),
             "total_variation": total_variation(measure, domain),
@@ -113,17 +113,17 @@ def run_solve(cfg: RunConfig, out_dir: str, formats) -> int:
     return 0
 
 
-def run_kernel(cfg: RunConfig, out_dir: str, formats) -> int:
+def run_kernel(cfg: RunConfig, out_dir: str) -> int:
     domain = cfg.build_domain()
     potential = cfg.build_potential()
     kset = kernel_set(domain, potential, cfg.sample_indices(domain), cfg.build_solver(),
                       order=cfg["trace.order"])
-    if "csv" in formats:
+    if "csv" in cfg["format"]:
         nodes = np.arange(domain.n_interior)
         _write_csv(os.path.join(out_dir, "kernels.csv"), ("boundary", "node", "value"),
                    ((np.full(nodes.size, a), nodes, kset.kernels[:, col])
                     for col, a in enumerate(kset.samples)))
-    if "json" in formats:
+    if "json" in cfg["format"]:
         summary = kernel_summary(kset)
         summary["config"] = cfg.echo()
         _write_json(os.path.join(out_dir, "kernels.json"), summary)
@@ -168,11 +168,11 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
     raise ConfigError(f"config key 'checks': unknown check {name!r}")
 
 
-def run_verify(cfg: RunConfig, out_dir: str, formats) -> int:
+def run_verify(cfg: RunConfig, out_dir: str) -> int:
     domain = cfg.build_domain()
     with cached_operators(domain):
         reports = [_run_check(name, cfg, domain) for name in cfg["checks"]]
-    if "csv" in formats:
+    if "csv" in cfg["format"]:
         for report in reports:
             cases = report.cases
             _write_csv(os.path.join(out_dir, f"{report.check}.csv"),
@@ -180,7 +180,7 @@ def run_verify(cfg: RunConfig, out_dir: str, formats) -> int:
                        [([c.name for c in cases], [c.left for c in cases],
                          [c.right for c in cases], [c.residual for c in cases],
                          [c.tolerance for c in cases], [c.passed for c in cases])])
-    if "json" in formats:
+    if "json" in cfg["format"]:
         _write_json(os.path.join(out_dir, "report.json"), {
             "config": cfg.echo(),
             "passed": all(r.passed for r in reports),
@@ -202,13 +202,13 @@ def _study_level(report: VerifyReport) -> float:
     return 0.0
 
 
-def run_study(cfg: RunConfig, out_dir: str, formats, levels: int) -> int:
+def run_study(cfg: RunConfig, out_dir: str) -> int:
     if len(cfg["checks"]) != 1:
         raise ConfigError("config key 'checks': a study runs exactly one check")
     name = cfg["checks"][0]
     rows = []
     reports = []
-    for d in cfg.build_domain().ladder(levels - 1):
+    for d in cfg.build_domain().ladder(cfg["study.levels"] - 1):
         with cached_operators(d):
             report = _run_check(name, cfg, d)
         reports.append(report)
@@ -223,10 +223,10 @@ def run_study(cfg: RunConfig, out_dir: str, formats, levels: int) -> int:
     if not at_floor and rows[0][2] > 0.0 and rows[-1][2] > 0.0:
         observed = float(np.log2(rows[0][2] / rows[-1][2]) / (len(rows) - 1))
 
-    if "csv" in formats:
+    if "csv" in cfg["format"]:
         _write_csv(os.path.join(out_dir, "study.csv"), ("h", "k", "residual"),
                    [tuple(zip(*rows))])
-    if "json" in formats:
+    if "json" in cfg["format"]:
         _write_json(os.path.join(out_dir, "study.json"), {
             "config": cfg.echo(),
             "check": name,
@@ -256,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory (default: config 'out')")
-        p.add_argument("--format", default=None,
-                       help="comma list of output formats: csv,json")
-        if name == "study":
-            p.add_argument("--levels", default=None,
-                           help="number of refinement levels (default: config 'study.levels')")
     return parser
 
 
@@ -269,18 +264,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         out_dir = args.out if args.out is not None else cfg["out"]
-        formats = (cfg["format"] if args.format is None
-                   else KEYS["format"].parse(args.format, "--format"))
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "solve":
-            return run_solve(cfg, out_dir, formats)
+            return run_solve(cfg, out_dir)
         if args.command == "kernel":
-            return run_kernel(cfg, out_dir, formats)
+            return run_kernel(cfg, out_dir)
         if args.command == "verify":
-            return run_verify(cfg, out_dir, formats)
-        levels = (cfg["study.levels"] if args.levels is None
-                  else KEYS["study.levels"].parse(args.levels, "--levels"))
-        return run_study(cfg, out_dir, formats, levels)
+            return run_verify(cfg, out_dir)
+        return run_study(cfg, out_dir)
     except (ConfigError, DomainError, MeasureError, PotentialError, ValueError,
             SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

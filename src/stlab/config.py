@@ -113,13 +113,12 @@ class Key:
     closed_lo: bool = False
     readers: tuple = ()
 
-    def parse(self, text: str, label: str | None = None):
-        """The value of ``text``; errors name ``label`` (default: this key)."""
+    def parse(self, text: str):
+        """The value of ``text``; errors name this key."""
         try:
             return self._parse(text)
         except ValueError as exc:
-            label = label or f"config key {self.name!r}"
-            raise ConfigError(f"{label}: {exc}") from None
+            raise ConfigError(f"config key {self.name!r}: {exc}") from None
 
     def _parse(self, text: str):
         if self.kind == "text":
@@ -353,9 +352,9 @@ def config_from_pairs(pairs: list[tuple[str, str]], command: str | None = None) 
             )
 
     # only conjugate gradients reads an iteration cap
-    if values["solver.method"] == "direct" and "solver.max_iter" in texts:
-        raise ConfigError("config key 'solver.max_iter': solver.method = direct takes no "
-                          "iteration cap")
+    if values["solver.method"] != "cg" and "solver.max_iter" in texts:
+        raise ConfigError(f"config key 'solver.max_iter': solver.method = "
+                          f"{values['solver.method']} takes no iteration cap")
 
     # levels() computes base**j up to j = J, which must not overflow a float
     try:

@@ -40,6 +40,7 @@ from .potential import Potential, zero_potential
 from .trace import trace_matrix
 
 DEGENERACY_FACTOR = 1e-10
+POSITIVITY_THRESHOLD = 1e-10  # fraction of the peak below which a node counts as crushed
 
 
 def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
@@ -174,24 +175,20 @@ def truncation_kernels(
     return fields
 
 
-def positivity_set(
-    domain: Domain,
-    potential: Potential,
-    solver: Solver | None = None,
-    threshold: float = 1e-10,
-) -> np.ndarray:
+def positivity_set(domain: Domain, potential: Potential,
+                   solver: Solver | None = None) -> np.ndarray:
     """Mask of nodes where the unit-density discrete limit (one solve, see
     ``limit_operator``) stays positive.
 
-    Nodes below ``threshold`` times the peak value are treated as crushed by
-    the potential (the strong maximum principle failed there).
+    Nodes below ``POSITIVITY_THRESHOLD`` times the peak value are treated as
+    crushed by the potential (the strong maximum principle failed there).
     """
     op, _ = limit_operator(domain, potential, solver)
     u = op.solve_load(load_vector(density_measure(uniform_density(1.0)), domain), solver)
     peak = float(np.max(u))
     if peak <= 0.0:
         return np.zeros(domain.n_interior, dtype=bool)
-    return u > threshold * peak
+    return u > POSITIVITY_THRESHOLD * peak
 
 
 def kernel_summary(kset: KernelSet) -> dict:

@@ -16,6 +16,7 @@ from .domain import Domain
 
 LADDER_VALUE_RATIO = 1.5  # growth between refinements that flags divergence outright
 LADDER_INCREMENT_RATIO = 0.85  # last increment ratio that flags borderline divergence
+WEIGHTED_L1_REFINEMENTS = 3  # refinements of the weighted_l1 ladder
 
 
 class PotentialError(ValueError):
@@ -69,15 +70,12 @@ def interior_singularity_potential(x0, alpha: float, scale: float = 1.0) -> Pote
     )
 
 
-def table_potential(values, bound: float | None = None) -> Potential:
+def table_potential(values) -> Potential:
+    """Node values given outright; the bound is the largest of them."""
     vals = np.asarray(values, dtype=float)
     if np.any(vals < 0.0):
         raise PotentialError("potentials must be nonnegative")
-    top = float(vals.max()) if vals.size else 0.0
-    if bound is None:
-        bound = top
-    elif not bound >= top:
-        raise PotentialError(f"table bound {bound} lies below the largest value {top}")
+    bound = float(vals.max()) if vals.size else 0.0
     return Potential("table", {"values": vals}, bound=bound, label="table")
 
 
@@ -178,15 +176,14 @@ def ladder_diverges(history) -> bool:
     return bool(d[-1] / d[-2] > LADDER_INCREMENT_RATIO)
 
 
-def weighted_l1(potential: Potential, domain: Domain, refinements: int = 3) -> WeightedL1Result:
-    """Quadrature of V * dist(x, boundary) over a refinement ladder.
+def weighted_l1(potential: Potential, domain: Domain) -> WeightedL1Result:
+    """Quadrature of V * dist(x, boundary) over ``domain`` and its
+    ``WEIGHTED_L1_REFINEMENTS`` refinements.
 
     Returns the finest-ladder value and the divergence flag; the history of
     per-level values is kept for reporting.
     """
-    if refinements < 1:
-        raise PotentialError("weighted_l1 needs at least one refinement")
     history = [float(np.sum(sample(potential, dom) * dom.distances * dom.volumes))
-               for dom in domain.ladder(refinements)]
+               for dom in domain.ladder(WEIGHTED_L1_REFINEMENTS)]
     divergent = ladder_diverges(history)
     return WeightedL1Result(value=history[-1], divergent=divergent, history=tuple(history))

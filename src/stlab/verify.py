@@ -235,7 +235,6 @@ def hopf_check(
     measure: Measure,
     solver: Solver | None = None,
     refinements: int = 1,
-    positivity_threshold: float = 1e-10,
     order: int = 1,
 ) -> VerifyReport:
     """Boundary positivity of the schedule-limit trace for nonnegative data.
@@ -256,7 +255,7 @@ def hopf_check(
         raise ValueError("boundary positivity is stated for nonnegative measures")
 
     solver = solver or Solver()
-    mask = positivity_set(domain, potential, solver, threshold=positivity_threshold)
+    mask = positivity_set(domain, potential, solver)
     if measure.density is None and measure.atoms:
         outside = []
         for loc, _ in measure.atoms:

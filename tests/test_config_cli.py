@@ -19,7 +19,8 @@ from stlab.config import (
     load_config,
     parse_config_text,
 )
-from stlab.domain import Domain
+from stlab.domain import Domain, build_interval
+from stlab.measure import density_measure, power_distance_density, total_variation
 from stlab.operator import solve_truncated_limit
 
 
@@ -61,7 +62,7 @@ def test_config_defaults():
     assert cfg["format"] == ("csv", "json")
 
 
-# the family or grid under which a key is accepted
+# the family, grid or method under which a key is accepted
 CONTEXT = {
     "domain.nr": [("domain.kind", "disk")],
     "domain.ntheta": [("domain.kind", "disk")],
@@ -72,6 +73,7 @@ CONTEXT = {
     "measure.density.value": [("measure.density", "uniform")],
     "measure.density.alpha": [("measure.density", "power_distance")],
     "measure.density.scale": [("measure.density", "power_distance")],
+    "solver.max_iter": [("solver.method", "cg")],
 }
 
 
@@ -227,6 +229,18 @@ def test_cli_solve_writes_reports(tmp_path):
     assert report["schedule"]["converged"] is True
 
 
+def test_cli_solve_power_distance_density(tmp_path):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 32\nmeasure.density = power_distance\n"
+                          "measure.density.alpha = 0.5\npotential.family = power_distance\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "solve.json").read_text())
+    density = density_measure(power_distance_density(0.5))
+    assert report["total_variation"] == total_variation(density, build_interval(32))
+    assert report["flux_residual"] <= 1e-8
+    assert report["schedule"]["converged"] is True
+
+
 def test_cli_kernel_reports(tmp_path):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\npotential.family = constant\npotential.value = 2.0\n")
     out = tmp_path / "k"
@@ -306,12 +320,6 @@ def test_cli_study_requires_single_check(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_cli_study_validates_levels(tmp_path, capsys):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nchecks = representation\nmeasure.atom = 0.5,1.0\n")
-    assert main(["study", "--config", cfg, "--out", str(tmp_path / "s"), "--levels", "1"]) == 2
-    assert "--levels" in capsys.readouterr().err
-
-
 def test_cli_study_reports_refinement_table(tmp_path):
     cfg = write(tmp_path, "\n".join([
         "domain.kind = interval",
@@ -320,7 +328,7 @@ def test_cli_study_reports_refinement_table(tmp_path):
         "measure.atom = 0.5,1.0",
     ]))
     out = tmp_path / "s"
-    assert main(["study", "--config", cfg, "--out", str(out), "--levels", "3"]) == 0
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out / "study.csv")
     assert header == "schema=1"
     assert rows[0] == ["h", "k", "residual"]
@@ -344,7 +352,7 @@ def test_cli_study_builds_each_grid_after_the_previous_check(tmp_path, monkeypat
                         lambda name, cfg, d: events.append("check") or real_check(name, cfg, d))
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nchecks = representation\n"
                           "measure.atom = 0.5,1.0\n")
-    assert main(["study", "--config", cfg, "--out", str(tmp_path / "s"), "--levels", "3"]) == 0
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
     assert events == ["check", "build", "check", "build", "check"]
 
 
@@ -420,14 +428,16 @@ def test_write_csv_prints_percent_in_names_literally(tmp_path):
     assert path.read_text() == "schema=1\ncase,residual,passed\n100%_%d_%s_%%,-0,1\n"
 
 
-def test_cli_format_flag_csv_only(tmp_path, capsys):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n")
+def test_cli_format_key_csv_only(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n"
+                          "format = csv\n")
     out = tmp_path / "fmt"
-    assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "solution.csv").exists()
     assert not (out / "solve.json").exists()
-    assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv,xml"]) == 2
-    assert "--format" in capsys.readouterr().err
+    monkeypatch.setenv("STL_FORMAT", "csv,xml")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "'format'" in capsys.readouterr().err
 
 
 CHECKS = KEYS["checks"].bound
@@ -519,12 +529,22 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, 
     ("measure.density.alpha = 0.3\n", "measure.density.alpha"),
     ("measure.density = uniform\nmeasure.density.scale = 2\n", "measure.density.scale"),
     ("solver.method = direct\nsolver.max_iter = 50\n", "solver.max_iter"),
+    ("solver.method = auto\nsolver.max_iter = 50\n", "solver.max_iter"),
 ], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform",
-        "max_iter-direct"])
+        "max_iter-direct", "max_iter-auto"])
 def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["auto", "direct"])
+def test_cli_env_iteration_cap_without_cg_exits_two(tmp_path, capsys, monkeypatch, method):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n"
+                f"solver.method = {method}\n")
+    monkeypatch.setenv("STL_SOLVER_MAX_ITER", "50")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    assert "'solver.max_iter'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

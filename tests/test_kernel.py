@@ -193,16 +193,20 @@ def test_positivity_set_trivial_cases(interval64):
     assert np.all(positivity_set(interval64, power_distance_potential(1.5)))
 
 
-def test_positivity_set_excludes_interior_singularity():
-    # the schedule limit is crushed at the nodes bracketing the singular
-    # point; with the calibrated threshold exactly those nodes drop out
-    d = build_interval(65)
-    pot = interior_singularity_potential([1 / 3], 2.0)
-    mask = positivity_set(d, pot, threshold=0.02)
+X0_MIDWAY = 0.5 + 1 / 128  # midway between two nodes of the interval n = 64
+
+
+@pytest.mark.parametrize("alpha,J,crushed", [(6.0, 45, 2), (8.0, 60, 4)])
+def test_positivity_set_excludes_interior_singularity(alpha, J, crushed):
+    # a schedule that climbs high enough crushes the limit below the
+    # threshold at the nodes next to the singular point, and only there
+    d = build_interval(64)
+    pot = interior_singularity_potential([X0_MIDWAY], alpha)
+    mask = positivity_set(d, pot, Solver(schedule=TruncationSchedule(J=J)))
     excluded = d.interior_points[~mask, 0]
-    assert excluded.size >= 2
-    assert np.all(np.abs(excluded - 1 / 3) < 3 * d.h)
-    far = np.abs(d.interior_points[:, 0] - 1 / 3) > 0.1
+    assert excluded.size == crushed
+    assert np.all(np.abs(excluded - X0_MIDWAY) < 3 * d.h)
+    far = np.abs(d.interior_points[:, 0] - X0_MIDWAY) > 0.1
     assert np.all(mask[far])
 
 

@@ -36,6 +36,18 @@ def test_total_variation_unit_density(interval64):
     assert total_variation(m, interval64) == pytest.approx(1.0, rel=0.01)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_total_variation_power_distance_density_converges(alpha):
+    # on the interval the total variation of d^-alpha is 2 (1/2)^(1-alpha) / (1-alpha);
+    # the quadrature misses the boundary cells, an error of order h^(1-alpha)
+    exact = 2.0 * 0.5 ** (1.0 - alpha) / (1.0 - alpha)
+    m = density_measure(power_distance_density(alpha))
+    errors = [exact - total_variation(m, build_interval(n)) for n in (32, 64, 128, 256)]
+    assert 0.0 < errors[-1] < 0.25 * exact
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(2.0 ** (1.0 - alpha), rel=0.01)
+
+
 def test_total_variation_nonintegrable_density_is_infinite(interval64):
     m = density_measure(power_distance_density(1.5))
     assert total_variation(m, interval64) == np.inf
@@ -89,11 +101,14 @@ def test_load_is_additive(interval64):
     d = interval64
     m1 = dirac([0.3], 1.5)
     m2 = density_measure(uniform_density(0.5))
-    np.testing.assert_allclose(
-        load_vector(m1 + m2, d),
-        load_vector(m1, d) + load_vector(m2, d),
-        atol=1e-14,
-    )
+    m3 = density_measure(power_distance_density(0.5))
+    # the last pair adds two densities into one "sum" density
+    for a, b in ((m1, m2), (m2, m3)):
+        np.testing.assert_allclose(load_vector(a + b, d), load_vector(a, d) + load_vector(b, d),
+                                   atol=1e-14)
+        assert total_variation(a + b, d) == pytest.approx(
+            total_variation(a, d) + total_variation(b, d), rel=1e-14)
+    assert (m2 + m3).density.family == "sum"
 
 
 def test_split_signed(interval64):

@@ -150,12 +150,9 @@ def test_boundedness_flags():
 
 
 def test_table_bound_must_cover_every_value():
-    # a bound below the sample would be reported while the solve uses the sample
-    with pytest.raises(PotentialError, match="below the largest value"):
-        table_potential(np.full(15, 5.0), bound=1.0)
-    assert table_potential(np.full(15, 5.0), bound=5.0).bound == 5.0
-    assert table_potential(np.full(15, 5.0), bound=8.0).bound == 8.0
+    # the reported bound is the largest value the solve uses
     assert table_potential(np.full(15, 5.0)).bound == 5.0
+    assert table_potential([1.0, 7.5, 2.0]).bound == 7.5
 
 
 def test_ladder_divergence_detector():

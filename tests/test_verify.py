@@ -5,6 +5,8 @@ import pytest
 
 from stlab import (
     Measure,
+    Solver,
+    TruncationSchedule,
     build_disk,
     build_interval,
     build_rectangle,
@@ -157,9 +159,15 @@ def test_certificate_rejects_refinements_below_one(interval64, refinements):
         hopf_certificate(interval64, zero_potential(), refinements=refinements)
 
 
-def test_hopf_interval_positive_case():
-    d = build_interval(64)
-    rep = hopf_check(d, power_distance_potential(1.5), dirac([0.5]), refinements=1)
+@pytest.mark.parametrize("build,centre,refinements", [
+    (lambda: build_interval(64), [0.5], 1),
+    (lambda: build_interval(64), [0.5], 0),
+    (lambda: build_disk(16), [0.0, 0.0], 0),
+], ids=["interval-1", "interval-0", "disk-0"])
+def test_hopf_positive_case(build, centre, refinements):
+    # refinements = 0 classifies the one grid on its own
+    rep = hopf_check(build(), power_distance_potential(1.5), dirac(centre),
+                     refinements=refinements)
     assert rep.verdict == "positive"
     last = rep.details["grids"][-1]
     assert last["limit_min"] > 0
@@ -175,13 +183,17 @@ def test_hopf_obstruction_case():
 
 
 def test_hopf_no_solution_expected_for_atom_outside_positivity_set():
-    d = build_interval(65)
-    pot = interior_singularity_potential([1 / 3], 2.0)
-    rep = hopf_check(d, pot, dirac([1 / 3]), positivity_threshold=0.02, refinements=1)
+    # the schedule crushes the 2 nodes next to x0 (see test_kernel); a
+    # refined grid would put a node on x0, so the check stays on this one
+    d = build_interval(64)
+    x0 = 0.5 + 1 / 128
+    pot = interior_singularity_potential([x0], 6.0)
+    solver = Solver(schedule=TruncationSchedule(J=45))
+    rep = hopf_check(d, pot, dirac([x0]), solver, refinements=0)
     assert rep.verdict == "no_solution_expected"
     assert rep.cases == ()
     # an atom away from the crushed nodes is classified normally
-    rep2 = hopf_check(d, pot, dirac([0.75]), positivity_threshold=0.02, refinements=1)
+    rep2 = hopf_check(d, pot, dirac([0.75]), solver, refinements=0)
     assert rep2.verdict != "no_solution_expected"
 
 
