@@ -38,6 +38,8 @@ from .verify import (
 )
 
 FLOAT_FMT = "%.17g"
+# the checks that refine the grid, and the key counting their refinements
+LADDER_KEYS = {"hopf": "hopf.refinements", "hopf_certificate": "certificate.refinements"}
 
 
 def _write_csv(path: str, header, blocks) -> None:
@@ -143,16 +145,19 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
     if name == "inequalities":
         return inequality_suite(domain, potential, cfg.build_measure(domain), solver,
                                 order=order)
-    if name == "hopf":
-        return hopf_check(
-            domain, potential, cfg.build_measure(domain), solver,
-            refinements=cfg["hopf.refinements"], order=order,
-        )
-    if name == "hopf_certificate":
-        return hopf_certificate(
-            domain, potential, refinements=cfg["certificate.refinements"], solver=solver,
-            order=order,
-        )
+    if name in LADDER_KEYS:
+        key = LADDER_KEYS[name]
+        try:
+            if name == "hopf":
+                return hopf_check(domain, potential, cfg.build_measure(domain), solver,
+                                  refinements=cfg[key], order=order)
+            return hopf_certificate(domain, potential, cfg[key], solver, order)
+        except PotentialError as exc:
+            if cfg["potential.family"] != "interior_singularity":
+                raise
+            # a refined grid can put a node on x0, where V is infinite
+            raise ConfigError(f"config key 'potential.x0' is a node of a grid that "
+                              f"{key!r} = {cfg[key]} refines: {exc}") from None
     if name == "comparison":
         idx = cfg.sample_indices(domain)
         a = int(idx[0]) if idx is not None else 0

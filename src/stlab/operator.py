@@ -26,23 +26,19 @@ where its levels are reported: ``solve_truncated_limit`` (``stlab solve``'s
 schedule, the inequality suite's ``final_level`` and ``monotone``), hopf's
 per-level trace extrema and ``truncation_kernels``.
 
-The truncation-schedule walk ``walk`` carries one load vector, keeps the
-last operator it factored and hands it to ``solve_load`` as ``near`` for each
-later level.  An unfactored level is solved by conjugate gradients
-preconditioned with near's factor, warm-started from the previous level's
-solution.  No spectral bound backs this: ``near`` stays the first level's
-factor until a level misses the budget, and ``K_k - K_1``, the absorption of
-``min(V,k) - min(V,1)``, grows with k.  The budget holds by measurement: on
-the interval (n = 512, 4096), the disk (nr = 32, 64) and the square (n = 64,
-128), with ``V = d^-alpha`` for alpha = 1.5, 2, 3 and with ``V = 6 d^-2``,
-the level-1 factor never missed it for a centred atom; a unit density
-missed it once per walk on the square with alpha = 3.  A level that misses
-``PCG_BUDGET`` iterations is factored afresh, and that factor becomes
-``near`` for the next levels.  Outside an operator cache ``near``'s factor
-is dropped before the new one is made, so a walk holds one factor at a
-time.  The link lives only in the walk: a solve outside it never sees
-another operator's factor.  Every path enforces the relative-residual
-postcondition.
+The truncation-schedule walk ``walk`` carries one load vector and passes the
+previous level's solution to ``solve_load`` as ``guess``.  On the disk and the
+square such a level, before its operator holds a factor, is solved by CG
+preconditioned with the zero-potential transform: Hardy's inequality on a
+convex domain gives ``K_0 <= K_k <= (1 + 4 lam) K_0`` whenever
+``0 <= min(V, k) <= lam d^-2``, so the iterations do not grow as h shrinks.
+Measured per warm-started level: 5-10 for ``d^-1.5`` and up to 36 for
+``d^-3`` (beyond Hardy) on disk nr = 32, 64 and square n = 128, 256; a cold
+``d^-3`` solve takes up to 52.  ``PCG_BUDGET`` lies above that, and a level
+that misses it is factored.  The first level has no guess and the interval
+no transform, so both are factored; outside an operator cache the walk
+drops the factor of each level it leaves.  Every path enforces the
+relative-residual postcondition.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from .potential import Potential, PotentialError, TruncationSchedule, sample
 DEFAULT_TOL = 1e-10
 DIRECT_LIMIT = 200_000
 METHODS = ("auto", "direct", "cg")
-PCG_BUDGET = 30  # PCG iterations before a walk level is factored
+PCG_BUDGET = 64  # transform-PCG iterations before a walk level is factored
 
 
 class SolverError(RuntimeError):
@@ -134,17 +130,15 @@ class DiscreteOperator:
         self._kernels = {}  # read-only adjoint kernels, see kernel._adjoint_solve
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
-                   guess: np.ndarray | None = None,
-                   near: DiscreteOperator | None = None) -> np.ndarray:
+                   guess: np.ndarray | None = None) -> np.ndarray:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
         A zero potential on the disk or the square is solved by transforms
-        (``_TRANSFORMS``), whatever the method and the size.
-        Otherwise a direct solve uses this operator's LU factor, made on first use.
-        Until then a load with a ``near`` operator (the walk's last factored
-        level, see the module docstring) is solved by CG preconditioned with
-        near's factor from ``guess``, stopped at 1e-2 * solver.tol; a load
-        that misses PCG_BUDGET iterations factors this operator.
+        (``_TRANSFORMS``), whatever the method and the size.  Otherwise a
+        direct solve uses this operator's LU factor, made on first use; until
+        then a ``guess`` on the disk or the square starts CG preconditioned
+        with the transform, stopped at 1e-2 * solver.tol, and a load that
+        misses PCG_BUDGET iterations factors (see the module docstring).
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
@@ -155,14 +149,14 @@ class DiscreteOperator:
         elif not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
-        elif self._lu is None and near is not None and near._lu is not None:
-            precond = spla.LinearOperator(self.system.shape, matvec=near._lu.solve, dtype=float)
+        elif transform is not None and guess is not None and self._lu is None:
+            precond = spla.LinearOperator(
+                self.system.shape, dtype=float,
+                matvec=lambda r: transform(self.domain, r.reshape(-1, 1)).ravel())
             with suppress(SolverError):  # PCG missed the budget: factor below
                 u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
         if u is None:
             if self._lu is None:
-                if near is not None and self.domain._operators is None:
-                    near._lu = None  # outside a cache nothing reuses near's factor
                 self._lu = spla.splu(self.system)
             u = self._lu.solve(load)
         self._check_residual(u, load, solver.tol)
@@ -343,26 +337,25 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
     solver's schedule, yielding (k, operator of min(V, k), solution vector of
     K_k u = load) for one load vector.
 
-    Each level is solved by ``solve_load`` with the last operator the walk
-    factored as ``near`` and the previous solution as ``guess`` (see the
-    module docstring).  A level whose truncation equals the last solved one
-    is saturated: the discrete problem is unchanged, so it is yielded with
-    that level's operator and solution None, and so is every level after it
-    (the sample lies below all of them).  Stop rules belong to the
-    consumers, which end the walk by leaving the loop.
+    Each level is solved by ``solve_load`` with the previous solution as
+    ``guess`` (see the module docstring).  A level whose truncation equals
+    the last solved one is saturated: the discrete problem is unchanged, so
+    it is yielded with that level's operator and solution None, and so is
+    every level after it (the sample lies below all of them).  Stop rules
+    belong to the consumers, which end the walk by leaving the loop.
     """
     solver = solver or Solver()
     full = sample(potential, domain)
-    op = u = near = None  # near: the last operator the walk solved with its own factor
+    op = u = None
     for level in solver.schedule.levels():
         vals = np.minimum(full, level)
         if op is not None and np.array_equal(vals, op.v_values):
             yield level, op, None
             continue
+        if op is not None and domain._operators is None:
+            op._lu = None  # outside a cache nothing reuses a level the walk left
         op = _operator_for(domain, vals)
-        u = op.solve_load(load, solver, u, near)
-        if op._lu is not None:
-            near = op
+        u = op.solve_load(load, solver, u)
         yield level, op, u
 
 

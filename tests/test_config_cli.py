@@ -576,6 +576,24 @@ def test_cli_invalid_potential_parameter_exits_two(tmp_path, capsys, text, key):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,key", [
+    ("checks = hopf\nmeasure.atom = 0.3,1.0\n", "hopf.refinements"),
+    ("checks = hopf_certificate\n", "certificate.refinements"),
+], ids=["hopf", "hopf_certificate"])
+def test_cli_x0_on_a_refined_node_names_the_ladder_keys(tmp_path, capsys, text, key):
+    # x0 = 65/128 lies between two nodes of n=64 and on a node of n=128
+    base = ("domain.kind = interval\ndomain.n = 64\n"
+            "potential.family = interior_singularity\npotential.x0 = 0.5078125\n")
+    cfg = write(tmp_path, base + text)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "'potential.x0'" in err and repr(key) in err
+    # without refinements the grid has no node on x0
+    if key == "hopf.refinements":
+        cfg = write(tmp_path, base + text + "hopf.refinements = 0\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+
+
 @pytest.mark.parametrize("command,text", [
     ("solve", "domain.kind = interval\nmeasure.atom = 0.0,1\n"),
     ("verify", "domain.kind = interval\nmeasure.atom = 1.2,1\nchecks = representation\n"),

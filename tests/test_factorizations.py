@@ -46,7 +46,7 @@ def test_truncated_limit_factors_once_per_walk(rect16, factorizations, weights):
         measure = measure + dirac([0.7, 0.3], w)
     _, diag = solve_truncated_limit(rect16, power_distance_potential(1.5), measure)
     assert len(diag.levels) > 2  # several levels solved, the saturated one not
-    # the first level's factor preconditions every later level
+    # the first level is factored; the transform preconditions every later level
     assert len(calls) == 1
     assert live_factored == [0] * len(calls)
 
@@ -80,7 +80,10 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
     # the comparison solve is the discrete limit, on its kernel's operator; it
     # reads no measure, so the config loses its atom
     ("verify", "verify_disk", 1, "comparison"),
-], ids=["verify-verify_disk-3", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1"])
+    # the walk factors its first level only: the later levels are transform-PCG
+    ("solve", "solve_square", 1, None),
+], ids=["verify-verify_disk-3", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1",
+        "solve-solve_square-1"])
 def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors, checks):
     calls, _ = factorizations
     cfg = os.path.join(GOLDEN, f"{name}.cfg")

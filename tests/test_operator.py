@@ -240,25 +240,27 @@ def test_cli_import_leaves_scipy_fft_unloaded():
 
 
 WALK_CASES = {
-    "rect16-atom": (lambda: build_rectangle(16), dirac([0.4, 0.55])),
-    "rect16-signed": (lambda: build_rectangle(16), dirac([0.4, 0.55]) + dirac([0.7, 0.3], -1.0)),
-    "disk8-atom": (lambda: build_disk(8), dirac([0.2, -0.1])),
-    "disk8-signed": (lambda: build_disk(8), dirac([0.2, -0.1]) + dirac([-0.3, 0.25], -1.0)),
+    "rect16-atom": (lambda: build_rectangle(16), dirac([0.4, 0.55]), 1.5),
+    "rect16-signed": (lambda: build_rectangle(16), dirac([0.4, 0.55]) + dirac([0.7, 0.3], -1.0), 1.5),
+    "disk8-atom": (lambda: build_disk(8), dirac([0.2, -0.1]), 1.5),
+    "disk8-signed": (lambda: build_disk(8), dirac([0.2, -0.1]) + dirac([-0.3, 0.25], -1.0), 1.5),
+    # beyond Hardy: its top level needs 30 transform-PCG iterations, within PCG_BUDGET
+    "disk32-d^-3": (lambda: build_disk(32), dirac([0.2, -0.1]), 3.0),
 }
 
 
 def _walk(name, factorizations):
     """Every level the walk solves beside a fresh direct solve; returns the
     number of levels solved and the factorizations the walk made."""
-    build, mu = WALK_CASES[name]
+    build, mu, alpha = WALK_CASES[name]
     d = build()
-    pot = power_distance_potential(1.5)
+    pot = power_distance_potential(alpha)
     # a signed pair reaches the walk as one load vector
     load = load_vector(mu, d)
     solved = [(level, u) for level, _, u in walk(d, pot, load) if u is not None]
     calls, live_factored = factorizations
     walk_factorizations = len(calls)
-    # the walk drops its stale factor before it makes the next
+    # the walk drops the factor of a level it leaves before it makes the next
     assert live_factored == [0] * walk_factorizations
     full = sample(pot, d)
     for level, u in solved:
@@ -279,6 +281,31 @@ def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch
     monkeypatch.setattr(operator_module, "PCG_BUDGET", 1)
     levels, walk_factorizations = _walk(name, factorizations)
     assert walk_factorizations == levels
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(16), lambda: build_rectangle(16)],
+                         ids=["disk16", "rect16"])
+def test_uncached_walk_factors_its_first_level_only(build, factorizations):
+    # the first level has no guess to start PCG from; every later level is
+    # transform-PCG and leaves its operator unfactored
+    calls, _ = factorizations
+    d = build()
+    load = load_vector(dirac([0.4, 0.55] if d.kind == "rectangle" else [0.2, -0.1]), d)
+    ops = [op for _, op, u in walk(d, power_distance_potential(1.5), load) if u is not None]
+    assert len(ops) > 2 and len(calls) == 1
+    assert calls[0][3] == ops[0].system.data.tobytes()
+    assert all(op._lu is None for op in ops[1:])
+
+
+def test_interval_walk_factors_every_level(factorizations):
+    # the interval has no transform: each level is a direct solve, and the
+    # walk holds one factor at a time
+    calls, live_factored = factorizations
+    d = build_interval(64)
+    pot = power_distance_potential(1.5)
+    solved = [u for _, _, u in walk(d, pot, load_vector(dirac([0.4]), d)) if u is not None]
+    assert len(solved) > 2 and len(calls) == len(solved)
+    assert live_factored == [0] * len(calls)
 
 
 def test_wide_short_schedule_factors_once(factorizations):
@@ -314,7 +341,7 @@ def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
 
 
 def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkeypatch):
-    # the walk's PCG link is the walk's own: a later solve on a level the walk
+    # transform-PCG needs the walk's guess: a later solve on a level the walk
     # left unfactored factors that level instead of running PCG
     calls, _ = factorizations
     d = build_disk(8)
