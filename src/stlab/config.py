@@ -256,7 +256,11 @@ class RunConfig:
             m = m + dirac(atom[:-1], atom[-1])
         if self["measure.density"] is not None:
             make, defaults = DENSITIES[self["measure.density"]]
-            m = m + density_measure(make(**{**defaults, **self.params("measure.density.params")}))
+            density = make(**{**defaults, **self.params("measure.density.params")})
+            if not density.integrable:  # only power_distance, through its alpha
+                raise ConfigError(f"config key 'measure.density.alpha': density {density.label} "
+                                  "is not integrable; the data must be a finite measure")
+            m = m + density_measure(density)
         return m
 
     def build_solver(self) -> Solver:

@@ -22,9 +22,12 @@ truncation schedule.
 
 The discrete limit of a potential is one solve on the operator of
 ``limit_operator``, which states the level rule.  The schedule is walked only
-where its levels are reported: ``solve_truncated_limit`` (``stlab solve``'s
-schedule, the inequality suite's ``final_level`` and ``monotone``), hopf's
-per-level trace extrema and ``truncation_kernels``.
+where its levels are reported, by the two consumers of ``walk``:
+``solve_truncated_limit``, the one place of the L1 stop rule of a monotone
+limit (``stlab solve``'s schedule, the inequality suite's ``final_level`` and
+``monotone``, and through its ``on_level`` callback hopf's per-level trace
+extrema), and ``truncation_kernels``, which keeps the kernel of every level
+up to the first saturated one.
 
 The truncation-schedule walk ``walk`` carries one load vector and passes the
 previous level's solution to ``solve_load`` as ``guess``.  On the disk and the
@@ -43,8 +46,9 @@ relative-residual postcondition.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -341,8 +345,10 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
     ``guess`` (see the module docstring).  A level whose truncation equals
     the last solved one is saturated: the discrete problem is unchanged, so
     it is yielded with that level's operator and solution None, and so is
-    every level after it (the sample lies below all of them).  Stop rules
-    belong to the consumers, which end the walk by leaving the loop.
+    every level after it (the sample lies below all of them).  A consumer
+    ends the walk by leaving the loop: ``solve_truncated_limit`` at its L1
+    stop rule, ``truncation_kernels`` at the first saturated level (or at
+    none).
     """
     solver = solver or Solver()
     full = sample(potential, domain)
@@ -357,48 +363,6 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
         op = _operator_for(domain, vals)
         u = op.solve_load(load, solver, u)
         yield level, op, u
-
-
-class _L1Limit:
-    """Stop rule of a monotone limit over the walk's solutions.
-
-    The walk stops when the L1 distance between consecutive iterates drops
-    below 1e-8 times the measure's total variation (at least 1e-8), or at a
-    saturated level, which is recorded with distance 0.
-    """
-
-    def __init__(self, domain: Domain, tv: float):
-        self.vol = domain.volumes
-        self.stop_tol = 1e-8 * max(tv, 1.0)
-        self.levels: list = []
-        self.dists: list = []
-        self.u = None  # latest iterate
-        self.monotone = True
-        self.converged = self.saturated = False
-
-    def step(self, level: float, u: np.ndarray | None) -> bool:
-        """Record one level of the walk; True once the rule ends it."""
-        self.levels.append(level)
-        if u is None:
-            self.converged = self.saturated = True
-            self.dists.append(0.0)
-            return True
-        if self.u is not None:
-            self.dists.append(float(np.sum(np.abs(u - self.u) * self.vol)))
-            self.monotone = self.monotone and not np.any(u > self.u + 1e-9)
-            self.converged = self.dists[-1] < self.stop_tol
-        self.u = u
-        return self.converged
-
-    def diagnostics(self) -> TruncationDiagnostics:
-        return TruncationDiagnostics(
-            levels=tuple(self.levels),
-            l1_distances=tuple(self.dists),
-            monotone=self.monotone,
-            converged=self.converged,
-            final_level=self.levels[-1],
-            saturated=self.saturated,
-        )
 
 
 def solve_dirichlet(
@@ -420,24 +384,45 @@ def solve_truncated_limit(
     potential: Potential,
     measure: Measure,
     solver: Solver | None = None,
+    on_level: Callable[[float, np.ndarray | None], None] | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
+    The walk stops when the L1 distance between consecutive iterates drops
+    below 1e-8 times the measure's total variation (at least 1e-8), or at a
+    saturated level, which is recorded with distance 0.  ``on_level(level, u)``
+    sees every level the rule reads, with ``u`` None at the saturated one.
     The problem is linear in the measure, so a signed measure walks its one
-    load vector like a nonnegative one, with the stop rule of ``_L1Limit``;
-    only its iterates have no order to report (``monotone`` None).
+    load vector like a nonnegative one; only its iterates have no order to
+    report (``monotone`` None).
     """
     tv = total_variation(measure, domain)
     if not np.isfinite(tv):
         raise ValueError("measure has infinite total variation")
-    limit = _L1Limit(domain, tv)
+    stop_tol = 1e-8 * max(tv, 1.0)
+    levels, dists = [], []
+    last = None
+    monotone = True
+    converged = saturated = False
     for level, _, u in walk(domain, potential, load_vector(measure, domain), solver):
-        if limit.step(level, u):
+        levels.append(level)
+        if on_level is not None:
+            on_level(level, u)
+        if u is None:
+            converged = saturated = True
+            dists.append(0.0)
             break
-    diag = limit.diagnostics()
-    if not is_nonnegative(measure, domain):
-        diag = replace(diag, monotone=None)
-    return Field(domain, limit.u), diag
+        if last is not None:
+            dists.append(float(np.sum(np.abs(u - last) * domain.volumes)))
+            monotone = monotone and not np.any(u > last + 1e-9)
+            converged = dists[-1] < stop_tol
+        last = u
+        if converged:
+            break
+    return Field(domain, last), TruncationDiagnostics(
+        levels=tuple(levels), l1_distances=tuple(dists),
+        monotone=monotone if is_nonnegative(measure, domain) else None,
+        converged=converged, final_level=levels[-1], saturated=saturated)
 
 
 def _density_load(domain: Domain, source: Measure) -> np.ndarray:

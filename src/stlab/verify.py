@@ -31,12 +31,10 @@ from .measure import (
 from .operator import (
     Solver,
     _density_load,
-    _L1Limit,
     _quadratic_energy,
     assemble,
     limit_operator,
     solve_truncated_limit,
-    walk,
 )
 from .potential import Potential, ladder_diverges, sample, weighted_l1, zero_potential
 from .trace import normal_derivative
@@ -171,11 +169,9 @@ def inequality_suite(
     variation measure over the boundary <= 2 * total variation; and the kernel
     comparison 0 <= P_a <= K_a nodewise over all boundary nodes.
     """
-    tv = total_variation(measure, domain)
-    if not np.isfinite(tv):
-        raise ValueError("inequality suite needs a finite measure")
     slack = 1.0 + SLACK_RATE * domain.h
-    u, diag = solve_truncated_limit(domain, potential, measure, solver)
+    u, diag = solve_truncated_limit(domain, potential, measure, solver)  # raises if TV is infinite
+    tv = total_variation(measure, domain)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     absorbed = float(np.sum(v_final * np.abs(u.values) * domain.system_weights))
     tr = normal_derivative(domain, u, order)
@@ -215,20 +211,6 @@ def _trace_extrema(domain: Domain, u: Field, order: int) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def _trace_levels(domain: Domain, potential: Potential, measure: Measure, solver: Solver,
-                  order: int):
-    """Schedule diagnostics plus per-level (level, trace min, trace max) rows,
-    taken in the walk itself; a saturated level repeats the previous row."""
-    limit = _L1Limit(domain, total_variation(measure, domain))
-    rows = []
-    for level, _, u in walk(domain, potential, load_vector(measure, domain), solver):
-        extrema = rows[-1][1:] if u is None else _trace_extrema(domain, Field(domain, u), order)
-        rows.append((float(level), *extrema))
-        if limit.step(level, u):
-            break
-    return limit.diagnostics(), rows
-
-
 def hopf_check(
     domain: Domain,
     potential: Potential,
@@ -245,7 +227,10 @@ def hopf_check(
     schedule converging (mass crushed by the singularity); otherwise
     "inconclusive".  When every atom of the measure sits outside the computed
     positivity set and there is no density part, the verdict is
-    "no_solution_expected" and no classification is attempted.
+    "no_solution_expected" and no classification is attempted.  Each grid's
+    per-level trace extrema are recorded by ``solve_truncated_limit``'s
+    ``on_level`` callback, so its stop rule (and its refusal of a measure of
+    infinite total variation) is the rule here.
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -273,7 +258,13 @@ def hopf_check(
     table = []
     cases = []
     for g in domain.ladder(refinements):
-        diag, rows = _trace_levels(g, potential, measure, solver, order)
+        rows = []  # (level, trace min, trace max); a saturated level repeats the previous row
+
+        def record(level, u):
+            extrema = rows[-1][1:] if u is None else _trace_extrema(g, Field(g, u), order)
+            rows.append((float(level), *extrema))
+
+        _, diag = solve_truncated_limit(g, potential, measure, solver, on_level=record)
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,

@@ -307,11 +307,24 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_cli_representation_infinite_measure_exits_two(tmp_path, capsys):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 32\nmeasure.density = power_distance\n"
-                          "measure.density.alpha = 1.5\nchecks = representation\n")
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
-    assert "finite measure" in capsys.readouterr().err
+@pytest.mark.parametrize("command,checks", [
+    ("solve", None),
+    ("verify", "representation"),
+    ("verify", "inequalities"),
+    ("verify", "hopf"),
+    ("verify", "energy"),
+])
+def test_cli_infinite_measure_exits_two(tmp_path, capsys, command, checks):
+    # the paper's data is a finite measure: every reader of a non-integrable
+    # density exits 2 with one message naming the key that makes it so
+    text = ("domain.kind = interval\ndomain.n = 32\nmeasure.density = power_distance\n"
+            "measure.density.alpha = 1.5\n")
+    if checks is not None:
+        text += f"checks = {checks}\n"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'measure.density.alpha'" in err
+    assert "finite measure" in err
 
 
 def test_cli_study_requires_single_check(tmp_path, capsys):

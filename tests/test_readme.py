@@ -1,0 +1,20 @@
+"""The README's python examples run as written against the package."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # anything a block writes lands in a scratch directory
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})

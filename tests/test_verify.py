@@ -17,9 +17,11 @@ from stlab import (
     energy,
     interior_singularity_potential,
     kernel_set,
+    normal_derivative,
     power_distance_density,
     power_distance_potential,
     solve_dirichlet,
+    solve_truncated_limit,
     table_density,
     uniform_density,
     zero_potential,
@@ -89,6 +91,15 @@ def test_representation_rejects_infinite_measure():
     d = build_interval(32)
     with pytest.raises(ValueError, match="finite measure"):
         representation_check(d, zero_potential(), density_measure(power_distance_density(1.5)))
+
+
+def test_hopf_rejects_infinite_measure():
+    # the L1 stop tolerance scales with the total variation, so a measure of
+    # infinite total variation has none
+    d = build_interval(64)
+    mu = density_measure(power_distance_density(1.5))
+    with pytest.raises(ValueError, match="infinite total variation"):
+        hopf_check(d, power_distance_potential(1.5), mu)
 
 
 def test_representation_unbounded_potential(interval64):
@@ -180,6 +191,26 @@ def test_hopf_obstruction_case():
     assert rep.verdict == "obstruction"
     maxes = rep.details["grids"][-1]["trace_max"]
     assert all(b < a for a, b in zip(maxes, maxes[1:]))
+
+
+@pytest.mark.parametrize("build,atom,alpha,levels,saturated,converged", [
+    (lambda: build_disk(8), [0.2, -0.1], 1.5, 7, True, True),
+    (lambda: build_disk(8), [0.2, -0.1], 3.0, 11, False, True),
+    (lambda: build_interval(64), [0.5], 2.5, 15, False, False),
+], ids=["saturated", "l1-rule", "schedule-end"])
+def test_hopf_levels_are_the_truncated_limits_walk(build, atom, alpha, levels, saturated,
+                                                   converged):
+    # hopf's per-level rows come from solve_truncated_limit's walk, so the one
+    # stop rule ends both, whichever way the walk stops
+    d = build()
+    pot, mu = power_distance_potential(alpha), dirac(atom)
+    u, diag = solve_truncated_limit(d, pot, mu)
+    assert (len(diag.levels), diag.saturated, diag.converged) == (levels, saturated, converged)
+    grid = hopf_check(d, pot, mu, refinements=0).details["grids"][0]
+    assert grid["levels"] == list(diag.levels)
+    assert grid["converged"] == diag.converged
+    tr = normal_derivative(d, u).values
+    assert (grid["limit_min"], grid["limit_max"]) == (tr.min(), tr.max())
 
 
 def test_hopf_no_solution_expected_for_atom_outside_positivity_set():
