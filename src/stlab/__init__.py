@@ -54,7 +54,7 @@ from .operator import (
     solve_truncated_limit,
 )
 from .trace import (
-    green_identity_residual,
+    flux_balance_residual,
     normal_derivative,
     trace_matrix,
 )
@@ -112,7 +112,7 @@ __all__ = [
     "duality_kernel",
     "energy",
     "energy_check",
-    "green_identity_residual",
+    "flux_balance_residual",
     "hopf_certificate",
     "hopf_check",
     "inequality_suite",

@@ -22,10 +22,10 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .domain import Domain, DomainError
 from .kernel import duality_kernel, kernel_set, kernel_summary
-from .measure import MeasureError, total_variation
+from .measure import MeasureError, load_vector, total_variation
 from .operator import SolverError, cached_operators, solve_truncated_limit
-from .potential import PotentialError, sample, table_potential
-from .trace import green_identity_residual, normal_derivative
+from .potential import PotentialError, sample
+from .trace import flux_balance_residual, normal_derivative
 from .verify import (
     VerifyReport,
     comparison_check,
@@ -90,10 +90,7 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
     u, diag = solve_truncated_limit(domain, potential, measure, cfg.build_solver())
     tr = normal_derivative(domain, u, order=cfg["trace.order"])
     v_final = np.minimum(sample(potential, domain), diag.final_level)
-    flux_residual = green_identity_residual(
-        domain, u, table_potential(v_final), measure, lambda pts: np.ones(pts.shape[0]),
-        order=cfg["trace.order"],
-    )
+    flux_residual = flux_balance_residual(u, tr, v_final, load_vector(measure, domain))
     if "csv" in cfg["format"]:
         coords = ("x",) if domain.dim == 1 else ("x", "y")
         _write_csv(os.path.join(out_dir, "solution.csv"),

@@ -58,7 +58,6 @@ class Domain:
     faces: np.ndarray
     face_coefs: np.ndarray
     bface_interior: np.ndarray
-    bface_boundary: np.ndarray
     bface_coefs: np.ndarray
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
@@ -216,7 +215,6 @@ def build_interval(n: int) -> Domain:
         faces=faces,
         face_coefs=face_coefs,
         bface_interior=np.array([0, ni - 1]),
-        bface_boundary=np.array([0, 1]),
         bface_coefs=np.array([1.0 / h, 1.0 / h]),
         system_weights=np.full(ni, h),
     )
@@ -271,11 +269,9 @@ def build_rectangle(n: int) -> Domain:
     ])
     face_coefs = np.ones(len(faces))
 
-    # boundary faces of the non-corner nodes, each side by increasing
-    # coordinate: bottom b=i, right b=n+j, top b=3n-i, left b=4n-j
-    t = np.arange(1, n)
+    # boundary faces of the non-corner nodes: bottom, right, top, left, each
+    # side by increasing coordinate
     bface_interior = np.concatenate([iid[0, :], iid[:, -1], iid[-1, :], iid[:, 0]])
-    bface_boundary = np.concatenate([t, n + t, 3 * n - t, 4 * n - t])
     bface_coefs = np.ones(len(bface_interior))
 
     return Domain(
@@ -297,7 +293,6 @@ def build_rectangle(n: int) -> Domain:
         faces=faces,
         face_coefs=face_coefs,
         bface_interior=bface_interior,
-        bface_boundary=bface_boundary,
         bface_coefs=bface_coefs,
         system_weights=np.full(m * m, h * h),
     )
@@ -352,7 +347,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
     ])
 
     bface_interior = ring[-1]
-    bface_boundary = np.arange(ntheta)
     bface_coefs = np.full(ntheta, dtheta / dr)  # boundary face: arc 1*dtheta over spacing dr
 
     return Domain(
@@ -374,7 +368,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         faces=faces,
         face_coefs=face_coefs,
         bface_interior=bface_interior,
-        bface_boundary=bface_boundary,
         bface_coefs=bface_coefs,
         system_weights=volumes.copy(),
     )

@@ -2,8 +2,10 @@
 
 Atoms and densities are carried as given and never cancel against each other;
 the total variation of ``2*dirac(a) - 3*dirac(a)`` is 5.  Densities declare an
-``integrable`` tag so that total variation can reject non-finite measures
-deterministically instead of probing refinements.
+``integrable`` tag, so a measure of infinite total variation is known
+deterministically instead of by probing refinements: ``total_variation``
+reports it as inf, and ``load_vector``, which every solve of a measure goes
+through, refuses it.
 """
 
 from __future__ import annotations
@@ -159,8 +161,12 @@ def load_vector(measure: Measure, domain: Domain) -> np.ndarray:
     """Integrated right-hand side: cell integrals of the measure per interior node.
 
     Atoms deposit their multilinear weights (discrete mass is exact); a density
-    f contributes f(x_i) * vol_i.
+    f contributes f(x_i) * vol_i.  A density tagged non-integrable raises
+    MeasureError: the paper's data is a finite measure.
     """
+    if measure.density is not None and not measure.density.integrable:
+        raise MeasureError(f"density {measure.density.label!r} has infinite total variation; "
+                           "the data must be a finite measure")
     _check_atoms_inside(measure, domain)
     load = np.zeros(domain.n_interior)
     for loc, w in measure.atoms:

@@ -396,15 +396,13 @@ def solve_truncated_limit(
     load vector like a nonnegative one; only its iterates have no order to
     report (``monotone`` None).
     """
-    tv = total_variation(measure, domain)
-    if not np.isfinite(tv):
-        raise ValueError("measure has infinite total variation")
-    stop_tol = 1e-8 * max(tv, 1.0)
+    load = load_vector(measure, domain)  # refuses a measure of infinite total variation
+    stop_tol = 1e-8 * max(total_variation(measure, domain), 1.0)
     levels, dists = [], []
     last = None
     monotone = True
     converged = saturated = False
-    for level, _, u in walk(domain, potential, load_vector(measure, domain), solver):
+    for level, _, u in walk(domain, potential, load, solver):
         levels.append(level)
         if on_level is not None:
             on_level(level, u)

@@ -117,13 +117,11 @@ def representation_check(
     ``details["branch"]`` records whether the measure has atoms ("continuum")
     or not ("grid_density"); it does not change the tolerance.
     """
+    load = load_vector(measure, domain)  # refuses an infinite measure before any solve
     tv = total_variation(measure, domain)
-    if not np.isfinite(tv):
-        raise ValueError("representation check needs a finite measure")
     idx = resolve_samples(domain, samples)
     solver = solver or Solver()
     kernels, op, final_level = _adjoint_solve(domain, potential, idx, order, solver)
-    load = load_vector(measure, domain)
     u = Field(domain, op.solve_load(load, solver))
     tr = normal_derivative(domain, u, order).values
     paired = kernels.T @ load
@@ -229,8 +227,7 @@ def hopf_check(
     positivity set and there is no density part, the verdict is
     "no_solution_expected" and no classification is attempted.  Each grid's
     per-level trace extrema are recorded by ``solve_truncated_limit``'s
-    ``on_level`` callback, so its stop rule (and its refusal of a measure of
-    infinite total variation) is the rule here.
+    ``on_level`` callback, so its stop rule is the rule here.
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")

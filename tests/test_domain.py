@@ -234,19 +234,19 @@ def _domain_digest(domain):
 # duplicate faces in input order, so even a reordered face list would move
 # the solves at roundoff.  The disk values depend on numpy's cos/sin.
 BUILDER_DIGESTS = [
-    (build_interval, (4,), "5a4056d63aec3e971cba747fe7939813debe832300ee19d8f5469d4a1284a7da"),
-    (build_interval, (17,), "f98b3f647734b8c538881c5f5ff04284ee68a20cdddcd9e2bb5cabf650aad4a2"),
-    (build_interval, (64,), "8dd7a42d74a86a6f3385b3cc57efe549b5401e6d145f1b6e3b681bdfa05fdef9"),
-    (build_rectangle, (4,), "41ff72a43f808133a943a9a6adfbda30a21ec936e88054444891e8baf1dcca22"),
-    (build_rectangle, (7,), "41e47c229aa4350342c9b2f28c4758fd26a37834a1a308822c7aebe7b1d9f5e3"),
-    (build_rectangle, (16,), "06b71ff04a8313aea65b8a77d6acc4adf1536c78e51c08479e799fa4b347d033"),
-    (build_rectangle, (49,), "992a3a40d4a39248612ee741f6cd6025e29e904918c363e5f43c822c890455e7"),
-    (build_disk, (4,), "2009cc4ad6ec84c416e51d7386d199389090e56412496aa9147b27ef2f81a805"),
-    (build_disk, (9,), "5e69cb65e37029643946b8a3442c89bcec63096e16ae1f405e3489a627d27134"),
-    (build_disk, (16,), "eac39a8f0c2dc01bf2ffbb865259a7ae0c4cfaa6f692935005ce0e774daeeaea"),
-    (build_disk, (8, 12), "8d9def2be536f16a4cdc32467470b76fb926ca0d912aeee13f5d00db5e629476"),
-    (build_disk, (6, 5), "b974d0321caf6e8ba01c6fd8c4d0f2d57f020ffd4f4017b15d08eef54302060f"),
-    (build_disk, (32,), "0d7f75cd487ceed37e81af42a31421cba1d8dc9ee612880dd03cfa2ca78349a6"),
+    (build_interval, (4,), "87ec8e2953540c1daf6e4ee090b7668cb61bb36a0dc927e0dbef6dabb9003bb4"),
+    (build_interval, (17,), "13a0f08d84fb25785303e19f926c2dcdb1d45971e8f3c3ffcfc1c3237d20de8a"),
+    (build_interval, (64,), "322dfa920d681686b82ff8dcb910854644f0cc3b339f88cd8036d7a48fd0ab3b"),
+    (build_rectangle, (4,), "be1add6c2c069a3efbf20648f6000b0c3d2aba80aebf7c086e833598991b47de"),
+    (build_rectangle, (7,), "cf5f199bc99f92c4d837316a8a07e97db4d37318c5ba3cac6834c3107d6cd5b4"),
+    (build_rectangle, (16,), "9e48e4b8e292fc7012f8b994fc7db28d2ff098a57f2720af504fc6d9125461e2"),
+    (build_rectangle, (49,), "1d1e4426487fa6a18f5bb52cb9dd84235726ff0c95cff7909d08cd43aae9ff8f"),
+    (build_disk, (4,), "94312d941b91548f4394559a2e190fffe9e33756e57aeebfc2f23334f16ac9a2"),
+    (build_disk, (9,), "abb2aa25853f115dcc22cc33c9ebf191ccb0b90655e58f8d831f97610d204277"),
+    (build_disk, (16,), "3dd9d6373d04adcc6bf8bc8faa76cb6eb1438006cc7fa42d0d1213a3458d3060"),
+    (build_disk, (8, 12), "b9ec001961a087f50de45d5a578c36b9b129a4dacf731e78619560e7262505e8"),
+    (build_disk, (6, 5), "711aa1307650a8a22654bc1a87f28e26997b275b404481e63511ba9de9be2bb3"),
+    (build_disk, (32,), "9dd559b7c5ca520f9d58b3a6f86240ab7e0be3dbcd2ba23e8412625d0bfc44ba"),
 ]
 
 

@@ -53,6 +53,16 @@ def test_total_variation_nonintegrable_density_is_infinite(interval64):
     assert total_variation(m, interval64) == np.inf
 
 
+def test_load_vector_refuses_nonintegrable_density(interval64):
+    # every solve of a measure deposits it here, so this is the one refusal
+    for m in (density_measure(power_distance_density(1.5)),
+              dirac([0.5]) + density_measure(power_distance_density(1.0)),
+              density_measure(uniform_density(1.0)) + density_measure(power_distance_density(2.0))):
+        with pytest.raises(MeasureError, match="infinite total variation") as info:
+            load_vector(m, interval64)
+        assert "finite measure" in str(info.value)
+
+
 def test_zero_measure():
     z = Measure()
     assert z.is_zero()

@@ -1,20 +1,21 @@
-"""Boundary flux extraction and the defining integration-by-parts identity."""
+"""Boundary flux extraction and the flux balance (the Green identity with test function 1)."""
 
 import numpy as np
 import pytest
 
 from stlab import (
     Measure,
-    assemble,
     build_disk,
     build_interval,
     build_rectangle,
     constant_potential,
     density_measure,
     dirac,
-    green_identity_residual,
+    flux_balance_residual,
+    load_vector,
     normal_derivative,
     power_distance_potential,
+    sample,
     solve_dirichlet,
     solve_truncated_limit,
     uniform_density,
@@ -82,40 +83,36 @@ def test_trace_l1_norms(interval64):
     assert tz.l1_norm() == 0.0
 
 
-def test_green_identity_trivial_case(interval64):
+def test_flux_balance_residual_zero_field(interval64):
     u = Field(interval64, np.zeros(interval64.n_interior))
-    r = green_identity_residual(
-        interval64, u, zero_potential(), Measure(), lambda p: np.cos(p[..., 0]),
+    r = flux_balance_residual(
+        u, normal_derivative(interval64, u), np.zeros(interval64.n_interior),
+        load_vector(Measure(), interval64),
     )
     assert r == 0.0
 
 
 @pytest.mark.parametrize("builder", [lambda: build_interval(32), lambda: build_disk(8)])
-def test_green_identity_exact_on_matched_grids(builder):
-    # the trace is defined so that this identity telescopes exactly
+def test_flux_balance_residual_exact_on_matched_grids(builder):
+    # the trace is defined so that the balance telescopes exactly
     d = builder()
     pot = constant_potential(2.0)
     mu = dirac(d.interior_points[d.n_interior // 3]) + density_measure(uniform_density(1.0))
     u = solve_dirichlet(d, pot, mu)
-    for phi in (
-        lambda p: np.ones(p.shape[:-1]),
-        lambda p: p[..., 0],
-        lambda p: np.cos(2 * p[..., 0]) + p[..., -1] ** 2,
-    ):
-        r = green_identity_residual(d, u, pot, mu, phi)
-        assert r < 1e-10
+    r = flux_balance_residual(u, normal_derivative(d, u), sample(pot, d), load_vector(mu, d))
+    assert r < 1e-10
 
 
-def test_green_identity_rectangle_corner_defect_shrinks():
+def test_flux_balance_residual_rectangle_corner_defect_shrinks():
     # corner trace rows are the only unmatched term; second order in h
     pot = constant_potential(1.0)
+    mu = density_measure(uniform_density(1.0))
     residuals = []
     for n in (8, 16, 32):
         d = build_rectangle(n)
-        mu = density_measure(uniform_density(1.0))
         u = solve_dirichlet(d, pot, mu)
-        phi = lambda p: np.sin(p[..., 0]) * (1 + p[..., 1])
-        residuals.append(green_identity_residual(d, u, pot, mu, phi))
+        residuals.append(flux_balance_residual(u, normal_derivative(d, u), sample(pot, d),
+                                               load_vector(mu, d)))
     assert residuals[2] < residuals[1] < residuals[0]
     assert residuals[1] / residuals[2] > 3.0
 

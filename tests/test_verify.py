@@ -102,6 +102,32 @@ def test_hopf_rejects_infinite_measure():
         hopf_check(d, power_distance_potential(1.5), mu)
 
 
+@pytest.mark.parametrize("reader", ["energy", "energy_check", "solve_dirichlet", "pair_measure"])
+def test_measure_readers_refuse_infinite_measure(reader):
+    # energy_check used to pass on this density with energy -9.49
+    d = build_interval(32)
+    mu = density_measure(power_distance_density(1.5))
+    calls = {
+        "energy": lambda: energy(d, zero_potential(), mu, np.zeros(d.n_interior)),
+        "energy_check": lambda: energy_check(d, zero_potential(), mu),
+        "solve_dirichlet": lambda: solve_dirichlet(d, zero_potential(), mu),
+        "pair_measure": lambda: kernel_set(d, zero_potential()).pair_measure(mu),
+    }
+    with pytest.raises(ValueError, match="infinite total variation"):
+        calls[reader]()
+
+
+def test_representation_refuses_infinite_measure_before_any_solve(monkeypatch):
+    solves = []
+    real = DiscreteOperator.solve_load
+    monkeypatch.setattr(DiscreteOperator, "solve_load",
+                        lambda self, *args, **kw: solves.append(1) or real(self, *args, **kw))
+    with pytest.raises(ValueError, match="finite measure"):
+        representation_check(build_disk(8), power_distance_potential(1.5),
+                             density_measure(power_distance_density(1.5)))
+    assert solves == []
+
+
 def test_representation_unbounded_potential(interval64):
     mu = density_measure(uniform_density(1.0))
     rep = representation_check(interval64, power_distance_potential(1.5), mu)
