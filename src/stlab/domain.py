@@ -8,17 +8,19 @@ Every grid follows the same conventions.
   ``sum(f * volumes)`` integrates over all of the domain and the volumes
   sum to its exact measure at any resolution.
 * Boundary nodes sit exactly on the boundary and carry surface weights
-  summing to the exact boundary measure, unit inward normals, and the
-  indices of their first and second interior neighbors along the normal,
-  together with the spacing.  One-sided trace stencils and adjoint source
-  vectors consume exactly this data.
-* ``faces``/``bfaces`` list the edge-difference coefficients of the
-  stiffness form.  On the interval and the square they match the standard
-  3/5-point stencil (uniform coefficients); on the disk they are the exact
-  polar flux coefficients (face length over node distance).  Either way the
-  assembled operator is symmetric and the coefficient of a boundary face
-  equals surface weight / normal spacing, which is what makes the discrete
-  flux balance exact.
+  summing to the exact boundary measure, and the indices of their first and
+  second interior neighbors along the inward normal, together with the
+  spacing (the second neighbor lies at twice the first's displacement).
+  One-sided trace stencils and adjoint source vectors consume exactly this
+  data.
+* ``faces`` list the edge-difference coefficients between interior nodes of
+  the stiffness form.  On the interval and the square they match the
+  standard 3/5-point stencil (uniform coefficients); on the disk they are the
+  exact polar flux coefficients (face length over node distance).  Boundary
+  faces are not listed: the operator derives them from the trace stencil,
+  one face per boundary node to its first neighbor with coefficient surface
+  weight / normal spacing, so the discrete flux balance is exact by
+  construction.  The square's four corner nodes (``corner_mask``) have none.
 * The disk grid is polar with an ordinary unknown at the center, coupled to
   the innermost ring through the faces of the small center cell.
 
@@ -49,7 +51,6 @@ class Domain:
     distances: np.ndarray
     boundary_points: np.ndarray
     surface_weights: np.ndarray
-    inward_normals: np.ndarray
     boundary_coords: np.ndarray
     corner_mask: np.ndarray
     first_neighbor: np.ndarray
@@ -57,8 +58,6 @@ class Domain:
     normal_spacing: np.ndarray
     faces: np.ndarray
     face_coefs: np.ndarray
-    bface_interior: np.ndarray
-    bface_coefs: np.ndarray
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
     _operators: dict | None = field(default=None, init=False, repr=False)
@@ -193,7 +192,6 @@ def build_interval(n: int) -> Domain:
     volumes[0] = volumes[-1] = 1.5 * h  # end cells own the boundary slivers
     pts = x.reshape(-1, 1)
     boundary = np.array([[0.0], [1.0]])
-    normals = np.array([[1.0], [-1.0]])
     faces = np.column_stack([np.arange(ni - 1), np.arange(1, ni)])
     face_coefs = np.full(ni - 1, 1.0 / h)
     return Domain(
@@ -206,7 +204,6 @@ def build_interval(n: int) -> Domain:
         distances=np.minimum(x, 1.0 - x),
         boundary_points=boundary,
         surface_weights=np.array([1.0, 1.0]),
-        inward_normals=normals,
         boundary_coords=np.array([0.0, 1.0]),
         corner_mask=np.zeros(2, dtype=bool),
         first_neighbor=np.array([0, ni - 1]),
@@ -214,8 +211,6 @@ def build_interval(n: int) -> Domain:
         normal_spacing=np.array([h, h]),
         faces=faces,
         face_coefs=face_coefs,
-        bface_interior=np.array([0, ni - 1]),
-        bface_coefs=np.array([1.0 / h, 1.0 / h]),
         system_weights=np.full(ni, h),
     )
 
@@ -248,15 +243,13 @@ def build_rectangle(n: int) -> Domain:
     ])
     gx = np.concatenate([k, np.full(n, n), n - k, np.zeros(n, dtype=int)])
     gy = np.concatenate([np.zeros(n, dtype=int), k, np.full(n, n), n - k])
-    normals = np.repeat(np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]), n, axis=0)
     corner_mask = np.arange(4 * n) % n == 0
-    s = 1.0 / np.sqrt(2.0)
-    normals[corner_mask] = [(s, s), (-s, s), (-s, -s), (s, -s)]
 
     # the first neighbor is the nearest interior node (the diagonal one at a
-    # corner), the second one step further along the (diagonal) normal
+    # corner), the second one step further along the inward (diagonal) normal
+    step = np.repeat([[0, 1], [-1, 0], [0, -1], [1, 0]], n, axis=0)
+    step[corner_mask] = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
     fx, fy = np.clip(gx, 1, m), np.clip(gy, 1, m)
-    step = np.sign(normals).astype(int)
     first = iid[fy - 1, fx - 1]
     second = iid[fy + step[:, 1] - 1, fx + step[:, 0] - 1]
     spacing = np.full(4 * n, h)
@@ -269,11 +262,6 @@ def build_rectangle(n: int) -> Domain:
     ])
     face_coefs = np.ones(len(faces))
 
-    # boundary faces of the non-corner nodes: bottom, right, top, left, each
-    # side by increasing coordinate
-    bface_interior = np.concatenate([iid[0, :], iid[:, -1], iid[-1, :], iid[:, 0]])
-    bface_coefs = np.ones(len(bface_interior))
-
     return Domain(
         kind="rectangle",
         dim=2,
@@ -284,7 +272,6 @@ def build_rectangle(n: int) -> Domain:
         distances=dists,
         boundary_points=bpts,
         surface_weights=np.full(4 * n, h),
-        inward_normals=normals,
         boundary_coords=h * np.arange(4 * n),
         corner_mask=corner_mask,
         first_neighbor=first,
@@ -292,8 +279,6 @@ def build_rectangle(n: int) -> Domain:
         normal_spacing=spacing,
         faces=faces,
         face_coefs=face_coefs,
-        bface_interior=bface_interior,
-        bface_coefs=bface_coefs,
         system_weights=np.full(m * m, h * h),
     )
 
@@ -330,7 +315,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
     dists[0] = 1.0
 
     bpts = np.column_stack([ct, st])
-    normals = -bpts
 
     # faces: center to innermost ring, radial faces between rings, angular
     # faces within each ring
@@ -346,9 +330,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         np.repeat(ext / (radii * dtheta), ntheta),
     ])
 
-    bface_interior = ring[-1]
-    bface_coefs = np.full(ntheta, dtheta / dr)  # boundary face: arc 1*dtheta over spacing dr
-
     return Domain(
         kind="disk",
         dim=2,
@@ -359,16 +340,13 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         distances=dists,
         boundary_points=bpts,
         surface_weights=np.full(ntheta, dtheta),
-        inward_normals=normals,
         boundary_coords=theta,
         corner_mask=np.zeros(ntheta, dtype=bool),
-        first_neighbor=bface_interior.copy(),
+        first_neighbor=ring[-1],
         second_neighbor=ring[-2],
         normal_spacing=np.full(ntheta, dr),
         faces=faces,
         face_coefs=face_coefs,
-        bface_interior=bface_interior,
-        bface_coefs=bface_coefs,
         system_weights=volumes.copy(),
     )
 

@@ -101,14 +101,16 @@ def _direct(solver: Solver, domain: Domain) -> bool:
 
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
-    """Symmetric face-difference form of the Laplacian with Dirichlet closure."""
+    """Symmetric face-difference form of the Laplacian with Dirichlet closure.
+    Its boundary faces are the first-order trace stencil's, so its flux is the trace's."""
     if domain._stiffness is not None:
         return domain._stiffness
     p = domain.faces[:, 0]
     q = domain.faces[:, 1]
     c = domain.face_coefs
-    bi = domain.bface_interior
-    bc = domain.bface_coefs
+    keep = ~domain.corner_mask  # a corner of the square has no boundary face
+    bi = domain.first_neighbor[keep]
+    bc = (domain.surface_weights / domain.normal_spacing)[keep]
     rows = np.concatenate([p, q, p, q, bi])
     cols = np.concatenate([p, q, q, p, bi])
     data = np.concatenate([c, c, -c, -c, bc])
@@ -218,7 +220,7 @@ def _disk_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
     mode's system symmetric, and a decoupled identity row in the others."""
     nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
     c = domain.face_coefs  # centre faces, radial faces ring by ring, then angular faces
-    radial = np.concatenate([c[:1], c[nt:(nr - 1) * nt:nt], domain.bface_coefs[:1]])
+    radial = np.append(c[:(nr - 1) * nt:nt], domain.surface_weights[0] / domain.normal_spacing[0])
     angular = c[(nr - 1) * nt::nt]
     mode = np.arange(nt // 2 + 1)
     diag = np.empty((nr, mode.size))

@@ -235,6 +235,7 @@ def hopf_check(
         raise ValueError("boundary positivity needs a nonzero measure")
     if not is_nonnegative(measure, domain):
         raise ValueError("boundary positivity is stated for nonnegative measures")
+    load_vector(measure, domain)  # refuses an infinite measure before any solve
 
     solver = solver or Solver()
     mask = positivity_set(domain, potential, solver)

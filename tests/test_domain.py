@@ -1,4 +1,4 @@
-"""Grid construction: volumes, surface weights, normals, distances."""
+"""Grid construction: volumes, surface weights, trace stencil geometry, distances."""
 
 import hashlib
 
@@ -62,19 +62,20 @@ def test_interval_surface_weights_are_unit():
     np.testing.assert_allclose(d.surface_weights, [1.0, 1.0])
 
 
-@pytest.mark.parametrize("builder", [
-    lambda: build_interval(16),
-    lambda: build_disk(8),
-    lambda: build_rectangle(12),
-])
-def test_inward_normals_unit_and_point_inward(builder):
-    d = builder()
-    norms = np.linalg.norm(d.inward_normals, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-    # positive inner product with displacement to the first interior neighbor
-    disp = d.interior_points[d.first_neighbor] - d.boundary_points
-    dots = np.sum(disp * d.inward_normals, axis=1)
-    assert np.all(dots > 0)
+@pytest.mark.parametrize("domain", [build_interval(16), build_disk(8), build_disk(6, 20),
+                                    build_rectangle(12)],
+                         ids=["interval", "disk", "disk_6_20", "rectangle"])
+def test_trace_stencil_steps_inward(domain):
+    # every boundary node, the square's corners included: the first neighbor
+    # lies strictly inside at distance normal_spacing, and the second at twice
+    # that displacement, which the order-2 stencil (4 u1 - u2) / (2 s) assumes
+    b = domain.boundary_points
+    first = domain.interior_points[domain.first_neighbor]
+    second = domain.interior_points[domain.second_neighbor]
+    assert np.all(domain.contains(first))
+    np.testing.assert_allclose(np.linalg.norm(first - b, axis=1), domain.normal_spacing,
+                               rtol=1e-12)
+    np.testing.assert_allclose(second - b, 2.0 * (first - b), atol=1e-12)
 
 
 def test_interval_distance_field_exact():
@@ -111,15 +112,6 @@ def test_distance_rejects_exterior_point():
         assert not d.contains(point)[0]
         with pytest.raises(DomainError):
             d.interp_weights(point)
-
-
-def test_inward_normal_directions():
-    d = build_interval(16)
-    np.testing.assert_allclose(d.inward_normals[0], [1.0])
-    np.testing.assert_allclose(d.inward_normals[1], [-1.0])
-    dd = build_disk(8)
-    for b in (0, 5, 17):
-        np.testing.assert_allclose(dd.inward_normals[b], -dd.boundary_points[b], atol=1e-12)
 
 
 def test_build_domain_dispatch_and_errors():
@@ -231,22 +223,23 @@ def _domain_digest(domain):
 
 # Digests of every Domain array (bytes, shape, dtype, field order) as built
 # by the per-node loop builders these replaced.  The stiffness matrix sums
-# duplicate faces in input order, so even a reordered face list would move
-# the solves at roundoff.  The disk values depend on numpy's cos/sin.
+# duplicate faces in input order, so a reordered interior face list would
+# move the solves at roundoff; its boundary faces follow the boundary order
+# of first_neighbor.  The disk values depend on numpy's cos/sin.
 BUILDER_DIGESTS = [
-    (build_interval, (4,), "87ec8e2953540c1daf6e4ee090b7668cb61bb36a0dc927e0dbef6dabb9003bb4"),
-    (build_interval, (17,), "13a0f08d84fb25785303e19f926c2dcdb1d45971e8f3c3ffcfc1c3237d20de8a"),
-    (build_interval, (64,), "322dfa920d681686b82ff8dcb910854644f0cc3b339f88cd8036d7a48fd0ab3b"),
-    (build_rectangle, (4,), "be1add6c2c069a3efbf20648f6000b0c3d2aba80aebf7c086e833598991b47de"),
-    (build_rectangle, (7,), "cf5f199bc99f92c4d837316a8a07e97db4d37318c5ba3cac6834c3107d6cd5b4"),
-    (build_rectangle, (16,), "9e48e4b8e292fc7012f8b994fc7db28d2ff098a57f2720af504fc6d9125461e2"),
-    (build_rectangle, (49,), "1d1e4426487fa6a18f5bb52cb9dd84235726ff0c95cff7909d08cd43aae9ff8f"),
-    (build_disk, (4,), "94312d941b91548f4394559a2e190fffe9e33756e57aeebfc2f23334f16ac9a2"),
-    (build_disk, (9,), "abb2aa25853f115dcc22cc33c9ebf191ccb0b90655e58f8d831f97610d204277"),
-    (build_disk, (16,), "3dd9d6373d04adcc6bf8bc8faa76cb6eb1438006cc7fa42d0d1213a3458d3060"),
-    (build_disk, (8, 12), "b9ec001961a087f50de45d5a578c36b9b129a4dacf731e78619560e7262505e8"),
-    (build_disk, (6, 5), "711aa1307650a8a22654bc1a87f28e26997b275b404481e63511ba9de9be2bb3"),
-    (build_disk, (32,), "9dd559b7c5ca520f9d58b3a6f86240ab7e0be3dbcd2ba23e8412625d0bfc44ba"),
+    (build_interval, (4,), "b5d363dde0bc9f233581d289ee9128418454a9673465ba5b459eaf2462f931a6"),
+    (build_interval, (17,), "fec46af3e585bbf6595eddcac158fffc07f1c6058ad4807ad5fd91153d7f5f64"),
+    (build_interval, (64,), "1856863bc0ee7eb763a18cc55618c9bcbf08a5530ff3ca509a0fe70b5e2d9333"),
+    (build_rectangle, (4,), "c89adcc76685e51d50af57ad928823d765e53cb0c0f96d878152d46e3240537f"),
+    (build_rectangle, (7,), "40de550a7fbfa4f206a7fc2d54f3cb195212a7c8b4d4fb0cb1d7b1d53f073ffa"),
+    (build_rectangle, (16,), "7f16378cb734637c59b0b7aa5857409eb90157b48e18f2e2478e9a1a65b43dfc"),
+    (build_rectangle, (49,), "158c12811f9883105e1141a83d7418917ee0f95a1d6ab3bce313bbf50c5c6ed8"),
+    (build_disk, (4,), "fbe2e4283e046b01f86b3202ae11f5489715cad485721d2e64b829e151e08942"),
+    (build_disk, (9,), "7257a60b0df7c0c0384023c5061a880291e64529041447d1975eedd57046e640"),
+    (build_disk, (16,), "51874a62fbf65c0b94bd96d38a6560b701b6bd14233487c934b820b813d76c27"),
+    (build_disk, (8, 12), "35cd4709414aa274afb0756b69e5a69494c1375fc2182c79a01a71d9a2559ec2"),
+    (build_disk, (6, 5), "c3055cf742fafbd545e6ec2a188660cd5c41dd7328468f701969be474da35633"),
+    (build_disk, (32,), "ae061cb8515a046ba0a8aa4875e302050ff255b8b279a109e71988c12b3acd65"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from stlab import (
     Measure,
+    MeasureError,
     Solver,
     TruncationSchedule,
     build_disk,
@@ -100,6 +101,15 @@ def test_hopf_rejects_infinite_measure():
     mu = density_measure(power_distance_density(1.5))
     with pytest.raises(ValueError, match="infinite total variation"):
         hopf_check(d, power_distance_potential(1.5), mu)
+
+
+def test_hopf_refuses_infinite_measure_before_any_factorization(factorizations):
+    # the refusal comes before positivity_set factors its operator
+    calls, _ = factorizations
+    with pytest.raises(MeasureError, match="infinite total variation"):
+        hopf_check(build_disk(16), power_distance_potential(1.5),
+                   density_measure(power_distance_density(1.5)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("reader", ["energy", "energy_check", "solve_dirichlet", "pair_measure"])
