@@ -25,7 +25,6 @@ from .measure import (
     dirac,
     load_vector,
     power_distance_density,
-    split_signed,
     table_density,
     total_variation,
     uniform_density,
@@ -34,13 +33,11 @@ from .potential import (
     Potential,
     PotentialError,
     TruncationSchedule,
-    WeightedL1Result,
     constant_potential,
     interior_singularity_potential,
     power_distance_potential,
     sample,
     table_potential,
-    weighted_l1,
     zero_potential,
 )
 from .operator import (
@@ -99,7 +96,6 @@ __all__ = [
     "TruncationDiagnostics",
     "TruncationSchedule",
     "VerifyReport",
-    "WeightedL1Result",
     "assemble",
     "build_disk",
     "build_domain",
@@ -128,13 +124,11 @@ __all__ = [
     "sample",
     "solve_dirichlet",
     "solve_truncated_limit",
-    "split_signed",
     "table_density",
     "table_potential",
     "total_variation",
     "trace_matrix",
     "truncation_kernels",
     "uniform_density",
-    "weighted_l1",
     "zero_potential",
 ]

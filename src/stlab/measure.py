@@ -142,19 +142,13 @@ def is_nonnegative(measure: Measure, domain: Domain | None = None) -> bool:
     return True
 
 
-def split_signed(measure: Measure, domain: Domain) -> tuple[Measure, Measure]:
-    """Split into nonnegative parts (positive, negative) so mu = pos - neg."""
-    pos_atoms = tuple((loc, w) for loc, w in measure.atoms if w > 0.0)
-    neg_atoms = tuple((loc, -w) for loc, w in measure.atoms if w < 0.0)
-    pos_d = neg_d = None
-    if measure.density is not None:
-        vals = measure.density.evaluate(domain)
-        tag = measure.density.integrable
-        if np.any(vals > 0.0):
-            pos_d = table_density(np.maximum(vals, 0.0), tag)
-        if np.any(vals < 0.0):
-            neg_d = table_density(np.maximum(-vals, 0.0), tag)
-    return Measure(pos_atoms, pos_d), Measure(neg_atoms, neg_d)
+def variation(measure: Measure, domain: Domain) -> Measure:
+    """The variation |mu|: every atom with |w|, and the density's |f| as a
+    table that keeps its ``integrable`` tag."""
+    dens = measure.density
+    if dens is not None:
+        dens = table_density(np.abs(dens.evaluate(domain)), dens.integrable)
+    return Measure(tuple((loc, abs(w)) for loc, w in measure.atoms), dens)
 
 
 def load_vector(measure: Measure, domain: Domain) -> np.ndarray:

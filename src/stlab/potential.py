@@ -1,9 +1,5 @@
-"""Nonnegative potentials: named families, truncation schedules, weighted boundary-distance norm.
-
-The weighted L1 norm integrates V(x) * dist(x, boundary) over the domain and is
-the practical certificate input: a convergent refinement ladder certifies the
-absorption integral, a non-decaying ladder raises the divergence flag.
-"""
+"""Nonnegative potentials: named families, truncation schedules, and the
+divergence test of a refinement ladder of quadrature values."""
 
 from __future__ import annotations
 
@@ -16,7 +12,6 @@ from .domain import Domain
 
 LADDER_VALUE_RATIO = 1.5  # growth between refinements that flags divergence outright
 LADDER_INCREMENT_RATIO = 0.85  # last increment ratio that flags borderline divergence
-WEIGHTED_L1_REFINEMENTS = 3  # refinements of the weighted_l1 ladder
 
 
 class PotentialError(ValueError):
@@ -144,13 +139,6 @@ class TruncationSchedule:
         return [float(self.base) ** j for j in range(self.J + 1)]
 
 
-@dataclass(frozen=True)
-class WeightedL1Result:
-    value: float
-    divergent: bool
-    history: tuple  # quadrature value per refinement level
-
-
 def ladder_diverges(history) -> bool:
     """Divergence test for a refinement ladder of quadrature values.
 
@@ -175,15 +163,3 @@ def ladder_diverges(history) -> bool:
         return False
     return bool(d[-1] / d[-2] > LADDER_INCREMENT_RATIO)
 
-
-def weighted_l1(potential: Potential, domain: Domain) -> WeightedL1Result:
-    """Quadrature of V * dist(x, boundary) over ``domain`` and its
-    ``WEIGHTED_L1_REFINEMENTS`` refinements.
-
-    Returns the finest-ladder value and the divergence flag; the history of
-    per-level values is kept for reporting.
-    """
-    history = [float(np.sum(sample(potential, dom) * dom.distances * dom.volumes))
-               for dom in domain.ladder(WEIGHTED_L1_REFINEMENTS)]
-    divergent = ladder_diverges(history)
-    return WeightedL1Result(value=history[-1], divergent=divergent, history=tuple(history))

@@ -22,6 +22,7 @@ from stlab.config import (
 from stlab.domain import Domain, build_interval
 from stlab.measure import density_measure, power_distance_density, total_variation
 from stlab.operator import solve_truncated_limit
+from test_golden import _reject_constant
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -292,6 +293,25 @@ def test_cli_verify_failing_check_exits_one(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
+
+
+def test_cli_verify_writes_non_finite_values_as_null(tmp_path):
+    # V = 1e12 crushes the comparison solve to zero, so the located threshold
+    # and the domination excess are infinite; the report must stay strict JSON
+    cfg = write(tmp_path, "\n".join([
+        "domain.kind = interval",
+        "domain.n = 32",
+        "potential.family = constant",
+        "potential.value = 1e12",
+        "checks = comparison",
+    ]))
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    comparison = report["checks"][0]
+    assert comparison["details"]["threshold"] is None
+    assert comparison["cases"][1]["left"] is None
 
 
 def test_cli_unknown_family_exits_two(tmp_path, capsys):

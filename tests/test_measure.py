@@ -18,7 +18,7 @@ from stlab.measure import (
     MeasureError,
     is_nonnegative,
     load_vector,
-    split_signed,
+    variation,
 )
 
 
@@ -121,18 +121,35 @@ def test_load_is_additive(interval64):
     assert (m2 + m3).density.family == "sum"
 
 
-def test_split_signed(interval64):
+def test_variation(interval64):
     d = interval64
     m = dirac([0.25], 2.0) + dirac([0.75], -3.0)
-    pos, neg = split_signed(m, d)
-    assert is_nonnegative(pos, d)
-    assert is_nonnegative(neg, d)
-    assert total_variation(pos, d) + total_variation(neg, d) == pytest.approx(5.0)
+    v = variation(m, d)
+    assert is_nonnegative(v, d)
+    assert total_variation(v, d) == total_variation(m, d) == pytest.approx(5.0)
     np.testing.assert_allclose(
-        load_vector(m, d),
-        load_vector(pos, d) - load_vector(neg, d),
+        load_vector(v, d),
+        load_vector(dirac([0.25], 2.0), d) + load_vector(dirac([0.75], 3.0), d),
         atol=1e-14,
     )
+
+
+def test_variation_of_signed_density_keeps_the_tag(interval64):
+    d = interval64
+    f = np.sin(2 * np.pi * d.interior_points[:, 0])
+    v = variation(density_measure(table_density(f)), d)
+    np.testing.assert_array_equal(v.density.evaluate(d), np.abs(f))
+    assert total_variation(v, d) == pytest.approx(total_variation(density_measure(table_density(f)), d))
+    # a non-integrable density stays of infinite total variation
+    v = variation(density_measure(power_distance_density(1.5)), d)
+    assert not v.density.integrable
+    assert total_variation(v, d) == np.inf
+
+
+def test_variation_of_nonnegative_measure_loads_the_same(interval64):
+    d = interval64
+    m = dirac([0.3], 0.5) + density_measure(uniform_density(2.0))
+    np.testing.assert_array_equal(load_vector(variation(m, d), d), load_vector(m, d))
 
 
 def test_is_nonnegative(interval64):

@@ -26,7 +26,6 @@ from stlab import (
     sample,
     solve_dirichlet,
     solve_truncated_limit,
-    split_signed,
     table_potential,
     truncation_kernels,
     uniform_density,
@@ -410,9 +409,10 @@ def test_signed_walk_is_the_difference_of_monotone_parts(grid, alpha, seed):
     rng = np.random.default_rng(seed)
     lo, hi = (-0.5, 0.5) if grid == "disk8" else (0.1, 0.9)
     locs = rng.uniform(lo, hi, size=(2, d.dim))
-    mu = dirac(locs[0], rng.uniform(0.1, 2.0)) + dirac(locs[1], -rng.uniform(0.1, 2.0))
+    wp, wn = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+    pos, neg = dirac(locs[0], wp), dirac(locs[1], wn)
     pot = power_distance_potential(alpha)
-    loads = [load_vector(m, d) for m in (mu, *split_signed(mu, d))]
+    loads = [load_vector(m, d) for m in (pos + dirac(locs[1], -wn), pos, neg)]
     walks = [walk(d, pot, load) for load in loads]
     bound = 100.0 * Solver().tol * sum(np.linalg.norm(load) for load in loads)
     prev = None

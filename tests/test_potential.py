@@ -14,11 +14,11 @@ from stlab import (
     power_distance_potential,
     sample,
     table_potential,
-    weighted_l1,
     zero_potential,
 )
 from stlab.operator import walk
 from stlab.potential import PotentialError, ladder_diverges
+from stlab.verify import hopf_certificate
 
 
 def test_sample_zero_and_constant(interval64):
@@ -73,32 +73,21 @@ def test_truncation_monotone_in_level(k1, k2):
 
 
 def test_weighted_l1_zero(interval64):
-    assert weighted_l1(zero_potential(), interval64).value == 0.0
+    assert hopf_certificate(interval64, zero_potential()).details["weighted_l1"] == 0.0
 
 
 def test_weighted_l1_integrable_case():
     # int d^{-3/2} * d = int d^{-1/2} = 2 * sqrt(2) over the unit interval
-    w = weighted_l1(power_distance_potential(1.5), build_interval(32))
-    assert not w.divergent
-    assert w.value == pytest.approx(2 * np.sqrt(2), rel=0.05)
+    details = hopf_certificate(build_interval(32), power_distance_potential(1.5)).details
+    assert not details["weighted_l1_divergent"]
+    assert details["weighted_l1"] == pytest.approx(2 * np.sqrt(2), rel=0.05)
 
 
 def test_weighted_l1_divergent_case():
-    w = weighted_l1(power_distance_potential(2.0), build_interval(32))
-    assert w.divergent
-    # int d^{-2} * d diverges logarithmically: the quadrature grows with refinement
-    assert w.value == w.history[-1] > w.history[0]
-
-
-def test_weighted_l1_monotone_under_truncation():
-    d = build_interval(32)
-    p = power_distance_potential(1.5)
-    # weighted_l1 refines the grid, which a table cannot follow: compare the
-    # quadrature on the coarsest grid of the ladder
-    v = sample(p, d)
-    vals = [float(np.sum(np.minimum(v, k) * d.distances * d.volumes)) for k in (1.0, 4.0, 16.0, 64.0)]
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    assert all(q <= weighted_l1(p, d).history[0] + 1e-12 for q in vals)
+    # int d^{-2} * d diverges logarithmically: no value is reported
+    details = hopf_certificate(build_interval(32), power_distance_potential(2.0)).details
+    assert details["weighted_l1_divergent"]
+    assert details["weighted_l1"] is None
 
 
 def test_sample_reports_singular_node():

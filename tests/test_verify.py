@@ -27,6 +27,7 @@ from stlab import (
     uniform_density,
     zero_potential,
 )
+from stlab import domain as domain_module
 from stlab import kernel as kernel_module
 from stlab import verify as verify_module
 from stlab.operator import DEFAULT_TOL, DiscreteOperator
@@ -286,6 +287,29 @@ def test_certificate_rejects_hardy_potential(interval64):
     assert rep.details["weighted_l1_divergent"]
     # rejection is a verdict, not a broken invariant
     assert rep.passed
+
+
+@pytest.mark.parametrize("refinements", [2, 4])
+def test_certificate_walks_one_ladder(monkeypatch, refinements):
+    # the profile pairing and the distance-weighted norm share one ladder:
+    # max(refinements, WEIGHTED_L1_REFINEMENTS = 3) grids past the base are
+    # built, each once
+    builds = []
+    real = domain_module.build_domain
+    monkeypatch.setattr(domain_module, "build_domain",
+                        lambda *args, **kw: builds.append(kw) or real(*args, **kw))
+    hopf_certificate(build_disk(8), power_distance_potential(1.5), refinements=refinements)
+    assert len(builds) == max(refinements, 3)
+    assert [b["nr"] for b in builds] == [8 * 2 ** k for k in range(1, len(builds) + 1)]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_certificate_weighted_l1_does_not_depend_on_refinements(alpha):
+    d, pot = build_interval(16), power_distance_potential(alpha)
+    reports = [hopf_certificate(d, pot, refinements=r) for r in (1, 2, 3, 4)]
+    assert len({r.details["weighted_l1"] for r in reports}) == 1
+    assert len({r.details["weighted_l1_divergent"] for r in reports}) == 1
+    assert reports[0].details["weighted_l1_divergent"] == (alpha == 2.0)
 
 
 @pytest.mark.parametrize("lo", [0.0, -0.0, -1e-3, np.nan])
