@@ -32,16 +32,20 @@ up to the first saturated one.
 The truncation-schedule walk ``walk`` carries one load vector and passes the
 previous level's solution to ``solve_load`` as ``guess``.  On the disk and the
 square such a level, before its operator holds a factor, is solved by CG
-preconditioned with the zero-potential transform: Hardy's inequality on a
-convex domain gives ``K_0 <= K_k <= (1 + 4 lam) K_0`` whenever
-``0 <= min(V, k) <= lam d^-2``, so the iterations do not grow as h shrinks.
-Measured per warm-started level: 5-10 for ``d^-1.5`` and up to 36 for
-``d^-3`` (beyond Hardy) on disk nr = 32, 64 and square n = 128, 256; a cold
-``d^-3`` solve takes up to 52.  ``PCG_BUDGET`` lies above that, and a level
-that misses it is factored.  The first level has no guess and the interval
-no transform, so both are factored; outside an operator cache the walk
-drops the factor of each level it leaves.  Every path enforces the
-relative-residual postcondition.
+preconditioned with the transform of ``P = K_0 + D``, where ``D`` is the
+largest diagonal below ``diag(V w)`` that the transform inverts exactly: the
+ring minima of ``V w`` on the disk, its least value on the square.  Hardy's
+inequality on a convex domain gives ``K_0 <= P <= K_k <= (1 + 4 lam) K_0``
+whenever ``0 <= min(V, k) <= lam d^-2``, so the iterations do not grow as h
+shrinks, and a radial V on the disk has ``P = K_k``.
+Measured per warm-started level: 1 for ``d^-1.5`` and ``d^-3`` on disk
+nr = 32, 64, 6-16 there for an off-centre singularity with alpha = 2.5, and
+on square n = 128, 256 5-9 for ``d^-1.5`` and up to 36 for ``d^-3`` (beyond
+Hardy); a cold ``d^-3`` solve on the square takes up to 51.  ``PCG_BUDGET``
+lies above that, and a level that misses it is factored.  The first level
+has no guess and the interval no transform, so both are factored; outside
+an operator cache the walk drops the factor of each level it leaves.  Every
+path enforces the relative-residual postcondition.
 """
 
 from __future__ import annotations
@@ -143,22 +147,24 @@ class DiscreteOperator:
         (``_TRANSFORMS``), whatever the method and the size.  Otherwise a
         direct solve uses this operator's LU factor, made on first use; until
         then a ``guess`` on the disk or the square starts CG preconditioned
-        with the transform, stopped at 1e-2 * solver.tol, and a load that
-        misses PCG_BUDGET iterations factors (see the module docstring).
+        with the transform given this operator's diagonal ``V w``, stopped at
+        1e-2 * solver.tol, and a load that misses PCG_BUDGET iterations
+        factors (see the module docstring).
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
         u = None
         transform = _TRANSFORMS.get(self.domain.kind)
-        if transform is not None and not self.v_values.any():
-            u = transform(self.domain, load.reshape(load.shape[0], -1)).reshape(load.shape)
+        if transform is not None and not self.v_values.any():  # V w = v_values = 0
+            u = transform(self.domain, load.reshape(load.shape[0], -1), self.v_values).reshape(load.shape)
         elif not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
         elif transform is not None and guess is not None and self._lu is None:
+            vw = self.v_values * self.domain.system_weights
             precond = spla.LinearOperator(
                 self.system.shape, dtype=float,
-                matvec=lambda r: transform(self.domain, r.reshape(-1, 1)).ravel())
+                matvec=lambda r: transform(self.domain, r.reshape(-1, 1), vw).ravel())
             with suppress(SolverError):  # PCG missed the budget: factor below
                 u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
         if u is None:
@@ -213,11 +219,13 @@ def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gp
 
 
-def _disk_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
-    """Zero-potential solve on the disk: the ring coefficients repeat around
-    each ring, so an rfft along theta leaves one tridiagonal system in r per
-    mode.  Row 0 holds ``ntheta * u_centre`` in mode 0, which keeps that
-    mode's system symmetric, and a decoupled identity row in the others."""
+def _disk_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """Solve on the disk with ``K_0`` plus ring minima of the diagonal ``vw``:
+    the ring coefficients repeat around each ring, so an rfft along theta
+    leaves one tridiagonal system in r per mode.  Row 0 holds
+    ``ntheta * u_centre`` in mode 0 (so the centre adds ``vw[0] / ntheta``),
+    which keeps that mode's system symmetric, and a decoupled identity row in
+    the others.  Exact where ``vw`` is constant on every ring."""
     nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
     c = domain.face_coefs  # centre faces, radial faces ring by ring, then angular faces
     radial = np.append(c[:(nr - 1) * nt:nt], domain.surface_weights[0] / domain.normal_spacing[0])
@@ -225,9 +233,10 @@ def _disk_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
     mode = np.arange(nt // 2 + 1)
     diag = np.empty((nr, mode.size))
     diag[0] = 1.0
-    diag[0, 0] = radial[0]
+    diag[0, 0] = radial[0] + vw[0] / nt
     diag[1:] = ((radial[:-1] + radial[1:])[:, None]
-                + angular[:, None] * (2.0 - 2.0 * np.cos(2.0 * np.pi * mode / nt)))
+                + angular[:, None] * (2.0 - 2.0 * np.cos(2.0 * np.pi * mode / nt))
+                + vw[1:].reshape(nr - 1, nt).min(axis=1)[:, None])
     off = np.repeat(-radial[:-1, None], mode.size, axis=1)
     off[0, 1:] = 0.0  # the centre couples to mode 0 only
     rhs = np.zeros((nr, mode.size, cols.shape[1]), dtype=complex)
@@ -249,13 +258,13 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(-odd[1:x.shape[0] + 1].imag * np.sqrt(0.5 / (x.shape[0] + 1)), 0, axis)
 
 
-def _square_transform(domain: Domain, cols: np.ndarray) -> np.ndarray:
-    """Zero-potential solve on the square: the uniform 5-point operator is
-    diagonalized by DST-I on both axes, with eigenvalues
-    ``c (4 - 2cos(pi j/n) - 2cos(pi k/n))``."""
+def _square_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """Solve on the square with ``K_0`` plus the least value of the diagonal
+    ``vw``: the uniform 5-point operator is diagonalized by DST-I on both
+    axes, with eigenvalues ``c (4 - 2cos(pi j/n) - 2cos(pi k/n)) + min(vw)``."""
     n = domain.resolution["n"]
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
-    eig = domain.face_coefs[0] * (lam[:, None] + lam[None, :])
+    eig = domain.face_coefs[0] * (lam[:, None] + lam[None, :]) + vw.min()
     f = _dst1(_dst1(cols.reshape(n - 1, n - 1, -1), 0), 1) / eig[:, :, None]
     return _dst1(_dst1(f, 0), 1).reshape(cols.shape)
 

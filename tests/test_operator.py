@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, strategies as st
 
@@ -21,6 +22,7 @@ from stlab import (
     density_measure,
     dirac,
     energy,
+    interior_singularity_potential,
     kernel_set,
     power_distance_potential,
     sample,
@@ -277,9 +279,74 @@ def test_walk_pcg_levels_match_direct(name, factorizations):
 
 @pytest.mark.parametrize("name", list(WALK_CASES))
 def test_walk_refactors_when_pcg_misses_budget(name, factorizations, monkeypatch):
+    # a radial V on the disk is preconditioned exactly, but CG reads the
+    # residual only before an iteration: one iteration from the guess misses
     monkeypatch.setattr(operator_module, "PCG_BUDGET", 1)
     levels, walk_factorizations = _walk(name, factorizations)
     assert walk_factorizations == levels
+
+
+def test_transforms_invert_a_potential_they_can_hold():
+    # a radial V on the disk and a constant V on the square: P = K
+    rng = np.random.default_rng(0)
+    for d, pot in [(build_disk(16), power_distance_potential(1.5)),
+                   (build_rectangle(16), constant_potential(37.0))]:
+        op = DiscreteOperator(d, sample(pot, d))
+        x = rng.standard_normal((d.n_interior, 2))
+        u = operator_module._TRANSFORMS[d.kind](d, op.system @ x, op.v_values * d.system_weights)
+        np.testing.assert_allclose(u, x, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build", [lambda: build_disk(8), lambda: build_rectangle(8)],
+                         ids=["disk8", "rect8"])
+def test_transform_preconditioner_lies_between_k0_and_k(build, seed):
+    # K_0 <= P <= K: the spectrum of P^-1 K lies in [1, lambda_max(K_0^-1 K)]
+    d = build()
+    v = np.random.default_rng(seed).exponential(200.0, d.n_interior)
+    K = DiscreteOperator(d, v).system.toarray()
+    K0 = DiscreteOperator(d, np.zeros(d.n_interior)).system.toarray()
+    P_inv = operator_module._TRANSFORMS[d.kind](d, np.eye(d.n_interior), v * d.system_weights)
+    spectrum = scipy.linalg.eigh(K, np.linalg.inv(0.5 * (P_inv + P_inv.T)), eigvals_only=True)
+    top = scipy.linalg.eigh(K, K0, eigvals_only=True)[-1]
+    assert spectrum[0] >= 1.0 - 1e-10 and spectrum[-1] <= top + 1e-10
+
+
+def _count_transforms(monkeypatch, exact=True) -> list:
+    """One entry per transform application from now on; ``exact=False``
+    makes every entry ignore V, i.e. precondition with K_0."""
+    calls = []
+    for kind, real in list(operator_module._TRANSFORMS.items()):
+        def counted(d, cols, vw, real=real):
+            calls.append(cols.shape[1])
+            return real(d, cols, vw if exact else np.zeros_like(vw))
+        monkeypatch.setitem(operator_module._TRANSFORMS, kind, counted)
+    return calls
+
+
+def test_radial_walk_applies_the_transform_at_most_twice_per_level(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    d = build_disk(32)
+    solved = [u for _, _, u in walk(d, power_distance_potential(1.5), load_vector(dirac([0.2, -0.1]), d))
+              if u is not None]
+    pcg_levels = len(solved) - 1  # the first level is factored
+    assert pcg_levels > 2 and len(calls) <= 2 * pcg_levels
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5])
+def test_off_centre_walk_applies_the_transform_no_more_than_k0(monkeypatch, alpha):
+    # ring minima leave P <= K where V is not radial, so PCG never needs more
+    # applications than with the zero-potential preconditioner
+    d = build_disk(32)
+    pot = interior_singularity_potential((0.31, 0.2), alpha)
+    load = load_vector(dirac([0.2, -0.1]), d)
+    counts = []
+    for exact in (True, False):
+        with monkeypatch.context() as m:
+            calls = _count_transforms(m, exact)
+            assert sum(u is not None for _, _, u in walk(d, pot, load)) > 2
+        counts.append(len(calls))
+    assert 0 < counts[0] <= counts[1]
 
 
 @pytest.mark.parametrize("build", [lambda: build_disk(16), lambda: build_rectangle(16)],
