@@ -13,14 +13,17 @@ Every grid follows the same conventions.
   spacing (the second neighbor lies at twice the first's displacement).
   One-sided trace stencils and adjoint source vectors consume exactly this
   data.
-* ``faces`` list the edge-difference coefficients between interior nodes of
-  the stiffness form.  On the interval and the square they match the
-  standard 3/5-point stencil (uniform coefficients); on the disk they are the
-  exact polar flux coefficients (face length over node distance).  Boundary
-  faces are not listed: the operator derives them from the trace stencil,
-  one face per boundary node to its first neighbor with coefficient surface
-  weight / normal spacing, so the discrete flux balance is exact by
-  construction.  The square's four corner nodes (``corner_mask``) have none.
+* ``stencil(domain)`` lists the faces of the stiffness form between
+  interior nodes with their edge-difference coefficients.  It is computed
+  from ``kind`` and ``resolution`` where K is assembled and is not stored,
+  so a grid that is only sampled never builds it.  On the interval and the
+  square it is the standard 3/5-point stencil (uniform coefficients); on the
+  disk it holds the exact polar flux coefficients (face length over node
+  distance).  Boundary faces are not listed: the operator derives them from
+  the trace stencil, one face per boundary node to its first neighbor with
+  coefficient surface weight / normal spacing, so the discrete flux balance
+  is exact by construction.  The square's four corner nodes
+  (``corner_mask``) have none.
 * The disk grid is polar with an ordinary unknown at the center, coupled to
   the innermost ring through the faces of the small center cell.
 
@@ -56,8 +59,6 @@ class Domain:
     first_neighbor: np.ndarray
     second_neighbor: np.ndarray
     normal_spacing: np.ndarray
-    faces: np.ndarray
-    face_coefs: np.ndarray
     system_weights: np.ndarray
     _stiffness: object = field(default=None, init=False, repr=False)
     _operators: dict | None = field(default=None, init=False, repr=False)
@@ -192,8 +193,6 @@ def build_interval(n: int) -> Domain:
     volumes[0] = volumes[-1] = 1.5 * h  # end cells own the boundary slivers
     pts = x.reshape(-1, 1)
     boundary = np.array([[0.0], [1.0]])
-    faces = np.column_stack([np.arange(ni - 1), np.arange(1, ni)])
-    face_coefs = np.full(ni - 1, 1.0 / h)
     return Domain(
         kind="interval",
         dim=1,
@@ -209,8 +208,6 @@ def build_interval(n: int) -> Domain:
         first_neighbor=np.array([0, ni - 1]),
         second_neighbor=np.array([1, ni - 2]),
         normal_spacing=np.array([h, h]),
-        faces=faces,
-        face_coefs=face_coefs,
         system_weights=np.full(ni, h),
     )
 
@@ -254,14 +251,6 @@ def build_rectangle(n: int) -> Domain:
     second = iid[fy + step[:, 1] - 1, fx + step[:, 0] - 1]
     spacing = np.full(4 * n, h)
     spacing[corner_mask] = np.sqrt(2.0) * h
-    # stencil-matched faces: uniform coefficient 1 (K = h^2 * five-point stencil);
-    # x-direction faces row by row, then y-direction faces
-    faces = np.column_stack([
-        np.concatenate([iid[:, :-1].ravel(), iid[:-1, :].ravel()]),
-        np.concatenate([iid[:, 1:].ravel(), iid[1:, :].ravel()]),
-    ])
-    face_coefs = np.ones(len(faces))
-
     return Domain(
         kind="rectangle",
         dim=2,
@@ -277,8 +266,6 @@ def build_rectangle(n: int) -> Domain:
         first_neighbor=first,
         second_neighbor=second,
         normal_spacing=spacing,
-        faces=faces,
-        face_coefs=face_coefs,
         system_weights=np.full(m * m, h * h),
     )
 
@@ -316,20 +303,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
 
     bpts = np.column_stack([ct, st])
 
-    # faces: center to innermost ring, radial faces between rings, angular
-    # faces within each ring
-    ext = np.full(nr - 1, dr)  # radial extent of the cells of each ring
-    ext[-1] = 1.5 * dr
-    faces = np.column_stack([
-        np.concatenate([np.zeros(ntheta, dtype=int), ring[:-1].ravel(), ring.ravel()]),
-        np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()]),
-    ])
-    face_coefs = np.concatenate([
-        np.full(ntheta, (0.5 * dr) * dtheta / dr),
-        np.repeat((np.arange(1, nr - 1) + 0.5) * dr * dtheta / dr, ntheta),
-        np.repeat(ext / (radii * dtheta), ntheta),
-    ])
-
     return Domain(
         kind="disk",
         dim=2,
@@ -345,10 +318,45 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         first_neighbor=ring[-1],
         second_neighbor=ring[-2],
         normal_spacing=np.full(ntheta, dr),
-        faces=faces,
-        face_coefs=face_coefs,
         system_weights=volumes.copy(),
     )
+
+
+def _disk_ring_coefs(nr: int, ntheta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The disk's face coefficients per ring i = 1..nr-1, each repeated
+    around the ring: the radial faces from ring i - 1 (the center for i = 1)
+    to ring i, and the angular faces within ring i."""
+    dr, dtheta = 1.0 / nr, 2.0 * np.pi / ntheta
+    ext = np.full(nr - 1, dr)  # radial extent of the cells of each ring
+    ext[-1] = 1.5 * dr
+    return (np.arange(nr - 1) + 0.5) * dr * dtheta / dr, ext / (dr * np.arange(1, nr) * dtheta)
+
+
+def stencil(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Interior faces (node pairs) of the stiffness form and their
+    coefficients, from the grid's kind and resolution alone."""
+    if domain.kind == "interval":
+        ni = domain.resolution["n"] - 1
+        return np.column_stack([np.arange(ni - 1), np.arange(1, ni)]), np.full(ni - 1, 1.0 / domain.h)
+    if domain.kind == "rectangle":
+        # uniform coefficient 1 (K = h^2 * five-point stencil); x-direction
+        # faces row by row, then y-direction faces
+        m = domain.resolution["n"] - 1
+        iid = np.arange(m * m).reshape(m, m)
+        faces = np.column_stack([
+            np.concatenate([iid[:, :-1].ravel(), iid[:-1, :].ravel()]),
+            np.concatenate([iid[:, 1:].ravel(), iid[1:, :].ravel()]),
+        ])
+        return faces, np.ones(len(faces))
+    # center to innermost ring, radial faces between rings, angular faces
+    # within each ring
+    nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
+    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
+    faces = np.column_stack([
+        np.concatenate([np.zeros(nt, dtype=int), ring[:-1].ravel(), ring.ravel()]),
+        np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()]),
+    ])
+    return faces, np.repeat(np.concatenate(_disk_ring_coefs(nr, nt)), nt)
 
 
 def build_domain(kind: str, **resolution) -> Domain:

@@ -58,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import Domain
+from .domain import Domain, _disk_ring_coefs, stencil
 from .fields import Field
 from .measure import Measure, is_nonnegative, load_vector, total_variation
 from .potential import Potential, PotentialError, TruncationSchedule, sample
@@ -105,13 +105,14 @@ def _direct(solver: Solver, domain: Domain) -> bool:
 
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
-    """Symmetric face-difference form of the Laplacian with Dirichlet closure.
-    Its boundary faces are the first-order trace stencil's, so its flux is the trace's."""
+    """Symmetric face-difference form of the Laplacian with Dirichlet closure,
+    cached on the grid.  Its interior faces are ``stencil(domain)``'s, built
+    here and dropped once K is assembled; its boundary faces are the
+    first-order trace stencil's, so its flux is the trace's."""
     if domain._stiffness is not None:
         return domain._stiffness
-    p = domain.faces[:, 0]
-    q = domain.faces[:, 1]
-    c = domain.face_coefs
+    faces, c = stencil(domain)
+    p, q = faces.T
     keep = ~domain.corner_mask  # a corner of the square has no boundary face
     bi = domain.first_neighbor[keep]
     bc = (domain.surface_weights / domain.normal_spacing)[keep]
@@ -225,11 +226,12 @@ def _disk_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndar
     leaves one tridiagonal system in r per mode.  Row 0 holds
     ``ntheta * u_centre`` in mode 0 (so the centre adds ``vw[0] / ntheta``),
     which keeps that mode's system symmetric, and a decoupled identity row in
-    the others.  Exact where ``vw`` is constant on every ring."""
+    the others.  Exact where ``vw`` is constant on every ring.  The ring
+    coefficients are the ones ``stencil`` repeats around each ring, and the
+    outermost radial face is the boundary face of the trace stencil."""
     nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
-    c = domain.face_coefs  # centre faces, radial faces ring by ring, then angular faces
-    radial = np.append(c[:(nr - 1) * nt:nt], domain.surface_weights[0] / domain.normal_spacing[0])
-    angular = c[(nr - 1) * nt::nt]
+    radial, angular = _disk_ring_coefs(nr, nt)
+    radial = np.append(radial, domain.surface_weights[0] / domain.normal_spacing[0])
     mode = np.arange(nt // 2 + 1)
     diag = np.empty((nr, mode.size))
     diag[0] = 1.0
@@ -260,11 +262,12 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _square_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """Solve on the square with ``K_0`` plus the least value of the diagonal
-    ``vw``: the uniform 5-point operator is diagonalized by DST-I on both
-    axes, with eigenvalues ``c (4 - 2cos(pi j/n) - 2cos(pi k/n)) + min(vw)``."""
+    ``vw``: the 5-point operator with ``stencil``'s uniform coefficient 1 is
+    diagonalized by DST-I on both axes, with eigenvalues
+    ``4 - 2cos(pi j/n) - 2cos(pi k/n) + min(vw)``."""
     n = domain.resolution["n"]
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
-    eig = domain.face_coefs[0] * (lam[:, None] + lam[None, :]) + vw.min()
+    eig = lam[:, None] + lam[None, :] + vw.min()
     f = _dst1(_dst1(cols.reshape(n - 1, n - 1, -1), 0), 1) / eig[:, :, None]
     return _dst1(_dst1(f, 0), 1).reshape(cols.shape)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import build_domain, build_interval, build_disk, build_rectangle
-from stlab.domain import Domain, DomainError
+from stlab.domain import Domain, DomainError, stencil
 
 
 def test_interval_counts():
@@ -207,14 +207,24 @@ def test_domain_arrays_read_only(domain):
     # the cached stiffness matrix and operator caches are built from these
     with pytest.raises(ValueError, match="read-only"):
         domain.volumes[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        domain.face_coefs *= 2.0
     assert all(not a.flags.writeable for a in vars(domain).values() if isinstance(a, np.ndarray))
 
 
+def test_domain_stores_no_per_face_array():
+    # points, volumes, distances and system weights make 40 bytes per
+    # interior node; a stored face list would add at least 32 more
+    d = build_disk(256)
+    stored = sum(a.nbytes for a in vars(d).values() if isinstance(a, np.ndarray))
+    assert stored < 48 * d.n_interior
+
+
 def _domain_digest(domain):
+    # the stencil's arrays are hashed where they sat when Domain stored them
     h = hashlib.sha256(repr((domain.kind, domain.h, domain.resolution)).encode())
-    for name, value in vars(domain).items():
+    arrays = list(vars(domain).items())
+    at = [name for name, _ in arrays].index("system_weights")
+    arrays[at:at] = zip(("faces", "face_coefs"), stencil(domain))
+    for name, value in arrays:
         if isinstance(value, np.ndarray):
             h.update(f"{name}:{value.shape}:{value.dtype.str}:".encode())
             h.update(value.tobytes())

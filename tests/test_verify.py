@@ -29,6 +29,7 @@ from stlab import (
 )
 from stlab import domain as domain_module
 from stlab import kernel as kernel_module
+from stlab import operator as operator_module
 from stlab import verify as verify_module
 from stlab.operator import DEFAULT_TOL, DiscreteOperator
 from stlab.verify import (
@@ -301,6 +302,17 @@ def test_certificate_walks_one_ladder(monkeypatch, refinements):
     hopf_certificate(build_disk(8), power_distance_potential(1.5), refinements=refinements)
     assert len(builds) == max(refinements, 3)
     assert [b["nr"] for b in builds] == [8 * 2 ** k for k in range(1, len(builds) + 1)]
+
+
+def test_certificate_builds_no_stencil_on_a_sampled_grid(monkeypatch):
+    # the last rung (nr = 256) only samples V for the distance-weighted norm,
+    # so it assembles no K and never lists its faces
+    built = []
+    real = domain_module.stencil
+    for module in (domain_module, operator_module):
+        monkeypatch.setattr(module, "stencil", lambda d: built.append(d.resolution["nr"]) or real(d))
+    hopf_certificate(build_disk(32), power_distance_potential(1.5), refinements=2)
+    assert built == [32, 64, 128]
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
