@@ -277,6 +277,7 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
     boundary nodes are the ntheta points on the unit circle.  Cell volumes are
     exact annular-sector areas (the outermost interior cells reach r=1, the
     center cell is the disk of radius dr/2), so they tile the disk exactly.
+    The system weights are the volumes, the same array.
     """
     if ntheta is None:
         ntheta = 4 * nr
@@ -318,7 +319,7 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         first_neighbor=ring[-1],
         second_neighbor=ring[-2],
         normal_spacing=np.full(ntheta, dr),
-        system_weights=volumes.copy(),
+        system_weights=volumes,
     )
 
 

@@ -1,12 +1,14 @@
 """Assembly and solution of the Dirichlet problem -laplace(u) + V u = mu.
 
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
-difference coefficients of the grid plus ``diag(V * system_weights)``, and the
-load vector holds cell integrals of the measure.  On the interval and the
-square K is ``h^dim`` times the standard 3/5-point stencil matrix; on the
-disk K itself is the symmetric flux-form polar operator.  Either way K is
-symmetric positive definite, the discrete maximum principle holds, and the
-adjoint solve used by duality kernels is a plain solve with K.
+difference coefficients of the grid, and the load vector holds cell integrals
+of the measure.  K is cached on the grid and read-only; an operator's system
+is a copy of K with ``V * system_weights`` added on its existing diagonal, or
+K itself for V = 0.  On the interval and the square K is ``h^dim`` times the
+standard 3/5-point stencil matrix; on the disk K itself is the symmetric
+flux-form polar operator.  Either way K is symmetric positive definite, the
+discrete maximum principle holds, and the adjoint solve used by duality
+kernels is a plain solve with K.
 
 Every solve and every factorization goes through
 ``DiscreteOperator.solve_load``.  A direct solve uses the operator's cached
@@ -106,9 +108,10 @@ def _direct(solver: Solver, domain: Domain) -> bool:
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
     """Symmetric face-difference form of the Laplacian with Dirichlet closure,
-    cached on the grid.  Its interior faces are ``stencil(domain)``'s, built
-    here and dropped once K is assembled; its boundary faces are the
-    first-order trace stencil's, so its flux is the trace's."""
+    cached on the grid and read-only, since operators share it.  Its interior
+    faces are ``stencil(domain)``'s, built here and dropped once K is
+    assembled; its boundary faces are the first-order trace stencil's, so its
+    flux is the trace's."""
     if domain._stiffness is not None:
         return domain._stiffness
     faces, c = stencil(domain)
@@ -116,17 +119,20 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
     keep = ~domain.corner_mask  # a corner of the square has no boundary face
     bi = domain.first_neighbor[keep]
     bc = (domain.surface_weights / domain.normal_spacing)[keep]
-    rows = np.concatenate([p, q, p, q, bi])
-    cols = np.concatenate([p, q, q, p, bi])
+    rows = np.concatenate([p, q, p, q, bi], dtype=np.int32)  # scipy's index dtype
+    cols = np.concatenate([p, q, q, p, bi], dtype=np.int32)
     data = np.concatenate([c, c, -c, -c, bc])
     ni = domain.n_interior
     K = sp.coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
+    for a in (K.data, K.indices, K.indptr):
+        a.flags.writeable = False
     domain._stiffness = K
     return K
 
 
 class DiscreteOperator:
-    """Assembled symmetric positive-definite operator for one potential sample."""
+    """Assembled symmetric positive-definite operator for one potential sample;
+    ``system`` is a copy of the grid's K with ``V w`` on its diagonal (K for V = 0)."""
 
     def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
@@ -136,7 +142,10 @@ class DiscreteOperator:
             raise PotentialError("potential sample must be finite and nonnegative")
         self.domain = domain
         self.v_values = v_values
-        self.system = (_stiffness(domain) + sp.diags(v_values * domain.system_weights)).tocsc()
+        self.system = _stiffness(domain)
+        if v_values.any():  # K stores every diagonal entry, so setdiag adds none
+            self.system = self.system.copy()
+            self.system.setdiag(self.system.diagonal() + v_values * domain.system_weights)
         self._lu = None
         self._kernels = {}  # read-only adjoint kernels, see kernel._adjoint_solve
 

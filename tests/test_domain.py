@@ -211,11 +211,13 @@ def test_domain_arrays_read_only(domain):
 
 
 def test_domain_stores_no_per_face_array():
-    # points, volumes, distances and system weights make 40 bytes per
-    # interior node; a stored face list would add at least 32 more
+    # points, volumes and distances make 32 bytes per interior node (the
+    # disk's system weights are its volumes, so each buffer counts once); a
+    # stored face list would add at least 32 more
     d = build_disk(256)
-    stored = sum(a.nbytes for a in vars(d).values() if isinstance(a, np.ndarray))
-    assert stored < 48 * d.n_interior
+    stored = {id(a): a.nbytes for a in vars(d).values() if isinstance(a, np.ndarray)}
+    assert d.system_weights is d.volumes
+    assert sum(stored.values()) < 40 * d.n_interior
 
 
 def _domain_digest(domain):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, strategies as st
 
@@ -35,7 +36,7 @@ from stlab import (
 )
 from stlab import operator as operator_module
 from stlab.measure import load_vector, total_variation
-from stlab.operator import DiscreteOperator, SolverError, cached_operators, walk
+from stlab.operator import DiscreteOperator, SolverError, _stiffness, cached_operators, walk
 from stlab.potential import PotentialError
 
 CAPPED_CG = Solver(method="cg", max_iter=1)
@@ -54,6 +55,38 @@ def test_assemble_constant_shifts_diagonal():
     m0 = assemble(d, zero_potential()).system.toarray() / d.h ** d.dim
     mc = assemble(d, constant_potential(3.0)).system.toarray() / d.h ** d.dim
     np.testing.assert_allclose(mc - m0, 3.0 * np.eye(3), atol=1e-12)
+
+
+SYSTEM_GRIDS = {
+    "interval64": lambda: build_interval(64),
+    "rect16": lambda: build_rectangle(16),
+    "rect64": lambda: build_rectangle(64),
+    "disk8": lambda: build_disk(8),
+    "disk32": lambda: build_disk(32),
+}
+SYSTEM_SAMPLES = {
+    "zero": lambda d: np.zeros(d.n_interior),
+    "random": lambda d: np.random.default_rng(0).random(d.n_interior),
+    "truncated": lambda d: np.minimum(sample(power_distance_potential(1.5), d), 64.0),
+}
+
+
+@pytest.mark.parametrize("v", list(SYSTEM_SAMPLES))
+@pytest.mark.parametrize("grid", list(SYSTEM_GRIDS))
+def test_system_is_k_plus_vw_bit_for_bit(grid, v):
+    # the system shares the grid's cached K and adds V w on its diagonal in
+    # place; it must equal the sparse sum to the byte, so no solve moves
+    d = SYSTEM_GRIDS[grid]()
+    vv = SYSTEM_SAMPLES[v](d)
+    K = _stiffness(d)
+    system = DiscreteOperator(d, vv).system
+    expected = (K + sp.diags(vv * d.system_weights)).tocsc()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(system, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (system is K) == (v == "zero")
+    with pytest.raises(ValueError):
+        K.data[0] = 1.0
 
 
 def test_apply_zero_field(interval64):
