@@ -44,10 +44,12 @@ Measured per warm-started level: 1 for ``d^-1.5`` and ``d^-3`` on disk
 nr = 32, 64, 6-16 there for an off-centre singularity with alpha = 2.5, and
 on square n = 128, 256 5-9 for ``d^-1.5`` and up to 36 for ``d^-3`` (beyond
 Hardy); a cold ``d^-3`` solve on the square takes up to 51.  ``PCG_BUDGET``
-lies above that, and a level that misses it is factored.  The first level
-has no guess and the interval no transform, so both are factored; outside
-an operator cache the walk drops the factor of each level it leaves.  Every
-path enforces the relative-residual postcondition.
+lies above that, and a level that misses it is factored.  A first level
+that is given no guess is factored, and so is every level on the interval,
+which has no transform; outside an operator cache the walk drops the factor
+of each level it leaves.  ``hopf_check`` starts the first level of each
+refined grid from zero, so only its base grid factors.  Every path
+enforces the relative-residual postcondition.
 """
 
 from __future__ import annotations
@@ -359,23 +361,24 @@ class TruncationDiagnostics:
     saturated: bool  # truncation stopped changing the sampled potential
 
 
-def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver | None = None):
+def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver | None = None,
+         guess: np.ndarray | None = None):
     """The truncation-schedule engine: one pass over the levels k of the
     solver's schedule, yielding (k, operator of min(V, k), solution vector of
     K_k u = load) for one load vector.
 
     Each level is solved by ``solve_load`` with the previous solution as
-    ``guess`` (see the module docstring).  A level whose truncation equals
-    the last solved one is saturated: the discrete problem is unchanged, so
-    it is yielded with that level's operator and solution None, and so is
-    every level after it (the sample lies below all of them).  A consumer
-    ends the walk by leaving the loop: ``solve_truncated_limit`` at its L1
-    stop rule, ``truncation_kernels`` at the first saturated level (or at
-    none).
+    ``guess``, the first level with the given ``guess`` (see the module
+    docstring).  A level whose truncation equals the last solved one is
+    saturated: the discrete problem is unchanged, so it is yielded with that
+    level's operator and solution None, and so is every level after it (the
+    sample lies below all of them).  A consumer ends the walk by leaving the
+    loop: ``solve_truncated_limit`` at its L1 stop rule,
+    ``truncation_kernels`` at the first saturated level (or at none).
     """
     solver = solver or Solver()
     full = sample(potential, domain)
-    op = u = None
+    op, u = None, guess
     for level in solver.schedule.levels():
         vals = np.minimum(full, level)
         if op is not None and np.array_equal(vals, op.v_values):
@@ -408,6 +411,7 @@ def solve_truncated_limit(
     measure: Measure,
     solver: Solver | None = None,
     on_level: Callable[[float, np.ndarray | None], None] | None = None,
+    guess: np.ndarray | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
     """Monotone truncation limit: solve with min(V, k) along the schedule.
 
@@ -415,6 +419,7 @@ def solve_truncated_limit(
     below 1e-8 times the measure's total variation (at least 1e-8), or at a
     saturated level, which is recorded with distance 0.  ``on_level(level, u)``
     sees every level the rule reads, with ``u`` None at the saturated one.
+    ``guess`` starts the walk's first level (see ``walk``).
     The problem is linear in the measure, so a signed measure walks its one
     load vector like a nonnegative one; only its iterates have no order to
     report (``monotone`` None).
@@ -425,7 +430,7 @@ def solve_truncated_limit(
     last = None
     monotone = True
     converged = saturated = False
-    for level, _, u in walk(domain, potential, load, solver):
+    for level, _, u in walk(domain, potential, load, solver, guess):
         levels.append(level)
         if on_level is not None:
             on_level(level, u)

@@ -226,7 +226,11 @@ def hopf_check(
     positivity set and there is no density part, the verdict is
     "no_solution_expected" and no classification is attempted.  Each grid's
     per-level trace extrema are recorded by ``solve_truncated_limit``'s
-    ``on_level`` callback, so its stop rule is the rule here.
+    ``on_level`` callback, so its stop rule is the rule here.  The base grid
+    factors its first level, a factor the run's operator cache shares with
+    the inequality suite's walk; each refined grid starts that level from
+    zero, so on the disk and the square transform-PCG solves every level
+    there (see ``stlab.operator``).
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -254,14 +258,15 @@ def hopf_check(
     per_grid = []
     table = []
     cases = []
-    for g in domain.ladder(refinements):
+    for k, g in enumerate(domain.ladder(refinements)):
         rows = []  # (level, trace min, trace max); a saturated level repeats the previous row
 
         def record(level, u):
             extrema = rows[-1][1:] if u is None else _trace_extrema(g, Field(g, u), order)
             rows.append((float(level), *extrema))
 
-        _, diag = solve_truncated_limit(g, potential, measure, solver, on_level=record)
+        start = np.zeros(g.n_interior) if k else None
+        _, diag = solve_truncated_limit(g, potential, measure, solver, record, start)
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,

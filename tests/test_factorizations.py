@@ -12,7 +12,10 @@ import pytest
 
 from stlab import (
     build_disk,
+    build_rectangle,
     dirac,
+    hopf_check,
+    interior_singularity_potential,
     power_distance_potential,
     representation_check,
     solve_truncated_limit,
@@ -20,6 +23,7 @@ from stlab import (
 from stlab.cli import main
 from stlab.config import load_config
 from stlab.operator import DiscreteOperator
+from stlab.verify import _trace_extrema
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -74,15 +78,16 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,name,factors,checks", [
     # zero-potential solves on the disk are transforms: the certificate's
-    # profiles and the reference kernels make no factor
-    ("verify", "verify_disk", 3, None),
+    # profiles and the reference kernels make no factor, and hopf's refined
+    # grid starts its walk from zero: transform-PCG at every level
+    ("verify", "verify_disk", 2, None),
     ("kernel", "kernel_disk", 1, None),
     # the comparison solve is the discrete limit, on its kernel's operator; it
     # reads no measure, so the config loses its atom
     ("verify", "verify_disk", 1, "comparison"),
     # the walk factors its first level only: the later levels are transform-PCG
     ("solve", "solve_square", 1, None),
-], ids=["verify-verify_disk-3", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1",
+], ids=["verify-verify_disk-2", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1",
         "solve-solve_square-1"])
 def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors, checks):
     calls, _ = factorizations
@@ -106,3 +111,27 @@ def test_one_node_representation_factors_once(factorizations):
     assert live_factored == [0]
     assert rep.passed
     assert rep.details["max_residual"] <= rep.cases[0].tolerance
+
+
+@pytest.mark.parametrize("build,potential,atom", [
+    (lambda: build_disk(16), power_distance_potential(1.5), [0.2, -0.1]),
+    (lambda: build_disk(16), interior_singularity_potential((0.31, 0.2), 2.5), [0.2, -0.1]),
+    (lambda: build_rectangle(16), power_distance_potential(1.5), [0.4, 0.55]),
+], ids=["disk16-d^-1.5", "disk16-off-centre-2.5", "rect16-d^-1.5"])
+def test_hopf_refined_grids_make_no_factor(factorizations, build, potential, atom):
+    # each refined grid of the ladder starts its first level from zero, so
+    # transform-PCG solves it; only the base grid factors.  The per-grid
+    # results are those of a walk whose first level is a direct solve.
+    calls, _ = factorizations
+    d = build()
+    rep = hopf_check(d, potential, dirac(atom), refinements=2)
+    shapes = [shape for shape, *_ in calls]
+    assert shapes and set(shapes) == {(d.n_interior,) * 2}
+    grids = rep.details["grids"]
+    assert len(grids) == 3
+    for g, got in zip(d.ladder(2), grids):
+        u, diag = solve_truncated_limit(g, potential, dirac(atom))
+        assert got["levels"] == list(diag.levels)
+        lo, hi = _trace_extrema(g, u, 1)
+        assert got["limit_min"] == pytest.approx(lo, rel=1e-10)
+        assert got["limit_max"] == pytest.approx(hi, rel=1e-10)

@@ -396,6 +396,40 @@ def test_uncached_walk_factors_its_first_level_only(build, factorizations):
     assert all(op._lu is None for op in ops[1:])
 
 
+@pytest.mark.parametrize("build", [lambda: build_disk(16), lambda: build_rectangle(16)],
+                         ids=["disk16", "rect16"])
+def test_started_walk_makes_no_factor(build, factorizations):
+    # a first level given a start is transform-PCG like every later one
+    calls, _ = factorizations
+    d = build()
+    pot = power_distance_potential(1.5)
+    load = load_vector(dirac([0.4, 0.55] if d.kind == "rectangle" else [0.2, -0.1]), d)
+    started = [(level, u) for level, _, u in walk(d, pot, load, guess=np.zeros(d.n_interior))]
+    assert calls == []
+    plain = [(level, u) for level, _, u in walk(d, pot, load)]
+    assert [level for level, _ in started] == [level for level, _ in plain]
+    for (_, u), (_, ref) in zip(started, plain):
+        if ref is None:
+            assert u is None
+        else:
+            np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
+
+
+def test_interval_walk_ignores_a_start(factorizations):
+    # the interval has no transform to precondition with: a started walk
+    # factors every level and solves exactly as an unstarted one
+    calls, _ = factorizations
+    d = build_interval(64)
+    pot = power_distance_potential(1.5)
+    load = load_vector(dirac([0.4]), d)
+    started = [u for _, _, u in walk(d, pot, load, guess=np.zeros(d.n_interior)) if u is not None]
+    assert len(started) > 2 and len(calls) == len(started)
+    plain = [u for _, _, u in walk(d, pot, load) if u is not None]
+    assert len(plain) == len(started)
+    for u, ref in zip(started, plain):
+        np.testing.assert_array_equal(u, ref)
+
+
 def test_interval_walk_factors_every_level(factorizations):
     # the interval has no transform: each level is a direct solve, and the
     # walk holds one factor at a time
