@@ -2,13 +2,13 @@
 
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
 difference coefficients of the grid, and the load vector holds cell integrals
-of the measure.  K is cached on the grid and read-only; an operator's system
-is a copy of K with ``V * system_weights`` added on its existing diagonal, or
-K itself for V = 0.  On the interval and the square K is ``h^dim`` times the
-standard 3/5-point stencil matrix; on the disk K itself is the symmetric
-flux-form polar operator.  Either way K is symmetric positive definite, the
-discrete maximum principle holds, and the adjoint solve used by duality
-kernels is a plain solve with K.
+of the measure.  K is cached on the grid and read-only; solves apply ``K x +
+(V * system_weights) x``, and an operator's ``system`` (K with that diagonal
+added, K itself for V = 0) is built only for a factor.  On the interval and
+the square K is ``h^dim`` times the standard 3/5-point stencil matrix; on the
+disk K itself is the symmetric flux-form polar operator.  Either way K is
+symmetric positive definite, the discrete maximum principle holds, and the
+adjoint solve used by duality kernels is a plain solve with K.
 
 Every solve and every factorization goes through
 ``DiscreteOperator.solve_load``.  A direct solve uses the operator's cached
@@ -45,11 +45,11 @@ nr = 32, 64, 6-16 there for an off-centre singularity with alpha = 2.5, and
 on square n = 128, 256 5-9 for ``d^-1.5`` and up to 36 for ``d^-3`` (beyond
 Hardy); a cold ``d^-3`` solve on the square takes up to 51.  ``PCG_BUDGET``
 lies above that, and a level that misses it is factored.  A first level
-that is given no guess is factored, and so is every level on the interval,
-which has no transform; outside an operator cache the walk drops the factor
-of each level it leaves.  ``hopf_check`` starts the first level of each
-refined grid from zero, so only its base grid factors.  Every path
-enforces the relative-residual postcondition.
+given no guess (``stlab solve``'s) is factored, and so is every level on the
+interval, which has no transform; outside an operator cache the walk drops
+the factor of each level it leaves.  The inequality suite and ``hopf_check``
+start every walk from zero, so ``stlab verify`` factors limit operators only.
+Every path enforces the relative-residual postcondition.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,7 +135,8 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
 
 class DiscreteOperator:
     """Assembled symmetric positive-definite operator for one potential sample;
-    ``system`` is a copy of the grid's K with ``V w`` on its diagonal (K for V = 0)."""
+    solves apply ``K x + (V w) x``, and ``system`` (a copy of K with ``V w`` on
+    its diagonal, K for V = 0) is built on first read: by ``splu`` or ``energy``."""
 
     def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
@@ -144,12 +146,24 @@ class DiscreteOperator:
             raise PotentialError("potential sample must be finite and nonnegative")
         self.domain = domain
         self.v_values = v_values
-        self.system = _stiffness(domain)
-        if v_values.any():  # K stores every diagonal entry, so setdiag adds none
-            self.system = self.system.copy()
-            self.system.setdiag(self.system.diagonal() + v_values * domain.system_weights)
         self._lu = None
         self._kernels = {}  # read-only adjoint kernels, see kernel._adjoint_solve
+
+    @cached_property
+    def system(self) -> sp.csc_matrix:
+        system = _stiffness(self.domain)
+        if self.v_values.any():  # K stores every diagonal entry, so setdiag adds none
+            system = system.copy()
+            system.setdiag(system.diagonal() + self.v_values * self.domain.system_weights)
+        return system
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """``K x + (V w) x`` for one or many columns, without ``system``."""
+        y = _stiffness(self.domain) @ x
+        if self.v_values.any():
+            vw = self.v_values * self.domain.system_weights
+            y += vw.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        return y
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
                    guess: np.ndarray | None = None) -> np.ndarray:
@@ -171,11 +185,12 @@ class DiscreteOperator:
             u = transform(self.domain, load.reshape(load.shape[0], -1), self.v_values).reshape(load.shape)
         elif not _direct(solver, self.domain):
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
-            u = self._cg(load, sp.diags(1.0 / self.system.diagonal()), max_iter, solver.tol)
+            diag = _stiffness(self.domain).diagonal() + self.v_values * self.domain.system_weights
+            u = self._cg(load, sp.diags(1.0 / diag), max_iter, solver.tol)
         elif transform is not None and guess is not None and self._lu is None:
             vw = self.v_values * self.domain.system_weights
             precond = spla.LinearOperator(
-                self.system.shape, dtype=float,
+                (load.shape[0],) * 2, dtype=float,
                 matvec=lambda r: transform(self.domain, r.reshape(-1, 1), vw).ravel())
             with suppress(SolverError):  # PCG missed the budget: factor below
                 u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
@@ -193,11 +208,12 @@ class DiscreteOperator:
         cols = load.reshape(load.shape[0], -1)
         starts = np.zeros_like(cols) if guess is None else guess.reshape(cols.shape)
         out = np.empty_like(cols)
+        system = spla.LinearOperator((cols.shape[0],) * 2, matvec=self._apply, dtype=float)
         for j in range(cols.shape[1]):
-            x, info = spla.cg(self.system, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
+            x, info = spla.cg(system, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
                               maxiter=max_iter, M=precond)
             if info != 0:
-                r = np.linalg.norm(self.system @ x - cols[:, j]) / max(np.linalg.norm(cols[:, j]), 1e-300)
+                r = np.linalg.norm(self._apply(x) - cols[:, j]) / max(np.linalg.norm(cols[:, j]), 1e-300)
                 raise SolverError(
                     f"conjugate gradients did not converge in {max_iter} iterations "
                     f"(relative residual {r:.3e})"
@@ -206,7 +222,7 @@ class DiscreteOperator:
         return out.reshape(load.shape)
 
     def _check_residual(self, u: np.ndarray, load: np.ndarray, tol: float) -> None:
-        res = self.system @ u - load
+        res = self._apply(u) - load
         num = np.linalg.norm(res, axis=0)
         den = np.maximum(np.linalg.norm(load, axis=0), 1e-300)
         worst = float(np.max(num / den)) if num.size else 0.0
@@ -302,12 +318,13 @@ def _operator_for(domain: Domain, v_values: np.ndarray) -> DiscreteOperator:
 def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
     sample, among all solves on ``domain`` inside the block; dropped on exit.
-    A walk keeps every factor it makes here, and a direct solve outside a
-    walk on an operator that a walk solved by PCG factors it.
+    A walk keeps the factor of a level it could not solve by PCG (no start,
+    or past ``PCG_BUDGET``), and a direct solve outside a walk on an
+    operator that a walk solved by PCG factors it.
 
-    Adjoint kernels are memoized on their operator (see ``stlab.kernel``),
-    so inside the block two checks that need the same kernels solve for them
-    once, and the memo is dropped with the operators.
+    Adjoint kernels are memoized on their operator (see ``stlab.kernel``) and
+    ``solve_truncated_limit``'s walks here under tuple keys, so two checks
+    that need the same kernels or walk solve once; both go with the block.
 
     Only a grid that several computations solve on gains: on a grid built
     for one schedule walk the cache would hold factors nobody reuses.
@@ -422,16 +439,26 @@ def solve_truncated_limit(
     ``guess`` starts the walk's first level (see ``walk``).
     The problem is linear in the measure, so a signed measure walks its one
     load vector like a nonnegative one; only its iterates have no order to
-    report (``monotone`` None).
+    report (``monotone`` None).  Inside ``cached_operators(domain)`` a repeated
+    call (same potential sample, load, stop tolerance, ``Solver`` and start)
+    replays the stored levels, ``u`` read-only, and solves nothing.
     """
     load = load_vector(measure, domain)  # refuses a measure of infinite total variation
     stop_tol = 1e-8 * max(total_variation(measure, domain), 1.0)
-    levels, dists = [], []
+    steps = ((level, u) for level, _, u in walk(domain, potential, load, solver, guess))
+    key = None
+    if domain._operators is not None:
+        key = ("walk", sample(potential, domain).tobytes(), load.tobytes(), stop_tol,
+               solver or Solver(), None if guess is None else np.asarray(guess, float).tobytes())
+        steps = domain._operators.get(key, steps)
+    rows, dists = [], []  # rows: (level, u), u kept for the memo only
     last = None
     monotone = True
     converged = saturated = False
-    for level, _, u in walk(domain, potential, load, solver, guess):
-        levels.append(level)
+    for level, u in steps:
+        if key is not None and u is not None:
+            u.flags.writeable = False
+        rows.append((level, u if key is not None else None))
         if on_level is not None:
             on_level(level, u)
         if u is None:
@@ -445,10 +472,12 @@ def solve_truncated_limit(
         last = u
         if converged:
             break
+    if key is not None:
+        domain._operators[key] = rows
     return Field(domain, last), TruncationDiagnostics(
-        levels=tuple(levels), l1_distances=tuple(dists),
+        levels=tuple(level for level, _ in rows), l1_distances=tuple(dists),
         monotone=monotone if is_nonnegative(measure, domain) else None,
-        converged=converged, final_level=levels[-1], saturated=saturated)
+        converged=converged, final_level=rows[-1][0], saturated=saturated)
 
 
 def _density_load(domain: Domain, source: Measure) -> np.ndarray:

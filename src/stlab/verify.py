@@ -166,10 +166,12 @@ def inequality_suite(
     Asserts: absorbed mass <= total variation; boundary-trace L1 norm
     <= 2 * total variation; the double integral of kernel pairings against the
     variation measure over the boundary <= 2 * total variation; and the kernel
-    comparison 0 <= P_a <= K_a nodewise over all boundary nodes.
+    comparison 0 <= P_a <= K_a nodewise over all boundary nodes.  Its walk
+    starts from zero, as hopf's does: in one operator cache they share it.
     """
     slack = 1.0 + SLACK_RATE * domain.h
-    u, diag = solve_truncated_limit(domain, potential, measure, solver)  # raises if TV is infinite
+    u, diag = solve_truncated_limit(domain, potential, measure, solver,  # raises if TV is infinite
+                                    guess=np.zeros(domain.n_interior))
     tv = total_variation(measure, domain)
     v_final = np.minimum(sample(potential, domain), diag.final_level)
     absorbed = float(np.sum(v_final * np.abs(u.values) * domain.system_weights))
@@ -226,11 +228,11 @@ def hopf_check(
     positivity set and there is no density part, the verdict is
     "no_solution_expected" and no classification is attempted.  Each grid's
     per-level trace extrema are recorded by ``solve_truncated_limit``'s
-    ``on_level`` callback, so its stop rule is the rule here.  The base grid
-    factors its first level, a factor the run's operator cache shares with
-    the inequality suite's walk; each refined grid starts that level from
-    zero, so on the disk and the square transform-PCG solves every level
-    there (see ``stlab.operator``).
+    ``on_level`` callback, so its stop rule is the rule here.  Every grid's
+    walk starts its first level from zero, so on the disk and the square
+    transform-PCG solves every level (see ``stlab.operator``) and only the
+    positivity set factors.  The base grid's walk is the inequality suite's:
+    inside the run's operator cache whichever check runs second replays it.
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -258,15 +260,14 @@ def hopf_check(
     per_grid = []
     table = []
     cases = []
-    for k, g in enumerate(domain.ladder(refinements)):
+    for g in domain.ladder(refinements):
         rows = []  # (level, trace min, trace max); a saturated level repeats the previous row
 
         def record(level, u):
             extrema = rows[-1][1:] if u is None else _trace_extrema(g, Field(g, u), order)
             rows.append((float(level), *extrema))
 
-        start = np.zeros(g.n_interior) if k else None
-        _, diag = solve_truncated_limit(g, potential, measure, solver, record, start)
+        _, diag = solve_truncated_limit(g, potential, measure, solver, record, np.zeros(g.n_interior))
         _, lo, hi = rows[-1]
         per_grid.append({
             "h": g.h,

@@ -78,28 +78,34 @@ def test_verify_walks_the_all_node_kernels_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,name,factors,checks", [
     # zero-potential solves on the disk are transforms: the certificate's
-    # profiles and the reference kernels make no factor, and hopf's refined
-    # grid starts its walk from zero: transform-PCG at every level
-    ("verify", "verify_disk", 2, None),
+    # profiles and the reference kernels make no factor, and the walks of the
+    # inequality suite and hopf start from zero: transform-PCG at every level.
+    # The one factor is the limit operator's, which every kernel solve reads.
+    ("verify", "verify_disk", 1, None),
     ("kernel", "kernel_disk", 1, None),
     # the comparison solve is the discrete limit, on its kernel's operator; it
     # reads no measure, so the config loses its atom
     ("verify", "verify_disk", 1, "comparison"),
+    # hopf alone: the positivity set's limit operator, and no walk level
+    ("verify", "verify_disk", 1, "hopf"),
     # the walk factors its first level only: the later levels are transform-PCG
     ("solve", "solve_square", 1, None),
-], ids=["verify-verify_disk-2", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1",
-        "solve-solve_square-1"])
+], ids=["verify-verify_disk-1", "kernel-kernel_disk-1", "verify-verify_disk-comparison-1",
+        "verify-verify_disk-hopf-1", "solve-solve_square-1"])
 def test_golden_config_factorizations(tmp_path, factorizations, command, name, factors, checks):
     calls, _ = factorizations
     cfg = os.path.join(GOLDEN, f"{name}.cfg")
     if checks is not None:
         with open(cfg, encoding="utf-8") as fh:
-            kept = [line for line in fh if not line.startswith(("measure.", "checks"))]
+            kept = [line for line in fh if not line.startswith("checks")
+                    and not (checks == "comparison" and line.startswith("measure."))]
         cfg = str(tmp_path / "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.writelines(kept + [f"checks = {checks}\n"])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == factors
+    if checks == "hopf":  # the base grid's limit operator, nr=8: 1 + 8 * 28 nodes
+        assert [shape for shape, *_ in calls] == [(225, 225)]
 
 
 def test_one_node_representation_factors_once(factorizations):

@@ -36,7 +36,14 @@ from stlab import (
 )
 from stlab import operator as operator_module
 from stlab.measure import load_vector, total_variation
-from stlab.operator import DiscreteOperator, SolverError, _stiffness, cached_operators, walk
+from stlab.operator import (
+    DEFAULT_TOL,
+    DiscreteOperator,
+    SolverError,
+    _stiffness,
+    cached_operators,
+    walk,
+)
 from stlab.potential import PotentialError
 
 CAPPED_CG = Solver(method="cg", max_iter=1)
@@ -413,6 +420,27 @@ def test_started_walk_makes_no_factor(build, factorizations):
             assert u is None
         else:
             np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(16), lambda: build_rectangle(16)],
+                         ids=["disk16", "rect16"])
+def test_started_walk_never_builds_a_system(build):
+    # PCG and the residual check apply K x + (V w) x with the grid's K, so a
+    # level that is never factored holds no copy of K; its residual check can
+    # still fail
+    d = build()
+    load = load_vector(dirac([0.4, 0.55] if d.kind == "rectangle" else [0.2, -0.1]), d)
+    steps = [(op, u) for _, op, u in walk(d, power_distance_potential(1.5), load,
+                                          guess=np.zeros(d.n_interior)) if u is not None]
+    assert len(steps) > 2
+    assert all("system" not in vars(op) and op._lu is None for op, _ in steps)
+    op, u = steps[-1]
+    op._check_residual(u, load, DEFAULT_TOL)
+    bad = u.copy()
+    bad[np.argmax(u)] *= 1.01
+    with pytest.raises(SolverError, match="residual check"):
+        op._check_residual(bad, load, DEFAULT_TOL)
+    assert "system" not in vars(op) and op._lu is None
 
 
 def test_interval_walk_ignores_a_start(factorizations):

@@ -31,6 +31,7 @@ from stlab import domain as domain_module
 from stlab import kernel as kernel_module
 from stlab import operator as operator_module
 from stlab import verify as verify_module
+from stlab.fields import Field
 from stlab.operator import DEFAULT_TOL, DiscreteOperator
 from stlab.verify import (
     comparison_check,
@@ -239,16 +240,69 @@ def test_hopf_obstruction_case():
 def test_hopf_levels_are_the_truncated_limits_walk(build, atom, alpha, levels, saturated,
                                                    converged):
     # hopf's per-level rows come from solve_truncated_limit's walk, so the one
-    # stop rule ends both, whichever way the walk stops
+    # stop rule ends both, whichever way the walk stops; hopf starts that walk
+    # from zero (the interval ignores the start and factors every level)
     d = build()
     pot, mu = power_distance_potential(alpha), dirac(atom)
-    u, diag = solve_truncated_limit(d, pot, mu)
+    u, diag = solve_truncated_limit(d, pot, mu, guess=np.zeros(d.n_interior))
     assert (len(diag.levels), diag.saturated, diag.converged) == (levels, saturated, converged)
     grid = hopf_check(d, pot, mu, refinements=0).details["grids"][0]
     assert grid["levels"] == list(diag.levels)
     assert grid["converged"] == diag.converged
     tr = normal_derivative(d, u).values
     assert (grid["limit_min"], grid["limit_max"]) == (tr.min(), tr.max())
+
+
+@pytest.mark.parametrize("build,atom", [
+    (lambda: build_disk(16), [0.2, -0.1]),
+    (lambda: build_rectangle(16), [0.4, 0.55]),
+], ids=["disk16", "rect16"])
+def test_cached_walk_is_solved_once_and_replayed(monkeypatch, build, atom):
+    # inside one operator cache the inequality suite and hopf walk the same
+    # grid with the same inputs: the second call replays the first walk
+    d = build()
+    pot, mu = power_distance_potential(1.5), dirac(atom)
+    walked = []  # operators of walk levels: solve_load with a guess
+    real_solve = DiscreteOperator.solve_load
+
+    def solve(self, load, *args):
+        if self.domain is d and len(args) == 2:
+            walked.append(self)
+        return real_solve(self, load, *args)
+
+    monkeypatch.setattr(DiscreteOperator, "solve_load", solve)
+    with operator_module.cached_operators(d):
+        inequality_suite(d, pot, mu)
+        first = list(walked)
+        grid = hopf_check(d, pot, mu, refinements=0).details["grids"][0]
+        assert len(first) > 2 and walked == first
+        assert len(set(map(id, first))) == len(first)
+        replayed = []
+        solve_truncated_limit(d, pot, mu, guess=np.zeros(d.n_interior),
+                              on_level=lambda level, u: replayed.append(u))
+        assert walked == first and len(replayed) == len(grid["levels"])
+        for u in replayed:
+            if u is not None:
+                with pytest.raises(ValueError):
+                    u[0] = 1.0
+        # another load (of the same total variation) or another Solver walks again
+        for args in ((dirac(atom[::-1]),), (mu, Solver(tol=1e-9))):
+            count = len(walked)
+            solve_truncated_limit(d, pot, *args, guess=np.zeros(d.n_interior))
+            assert len(walked) > count
+    count = len(walked)
+    with operator_module.cached_operators(d):
+        solve_truncated_limit(d, pot, mu, guess=np.zeros(d.n_interior))
+    assert len(walked) == count + len(first)
+    # the replayed rows are those of a fresh zero-started walk, bit for bit
+    rows = []
+
+    def record(level, u):
+        rows.append(rows[-1] if u is None else verify_module._trace_extrema(d, Field(d, u), 1))
+
+    solve_truncated_limit(d, pot, mu, guess=np.zeros(d.n_interior), on_level=record)
+    assert grid["trace_min"] == [lo for lo, _ in rows]
+    assert grid["trace_max"] == [hi for _, hi in rows]
 
 
 def test_hopf_no_solution_expected_for_atom_outside_positivity_set():
