@@ -11,16 +11,18 @@ symmetric positive definite, the discrete maximum principle holds, and the
 adjoint solve used by duality kernels is a plain solve with K.
 
 Every solve and every factorization goes through
-``DiscreteOperator.solve_load``.  A direct solve uses the operator's cached
-sparse LU factor (one factorization serves every right-hand side, which
-kernel sets rely on); conjugate gradients with a Jacobi preconditioner is
-available as ``method="cg"``.  A zero-potential system on the disk or the
-square is solved by fast transforms at any size, under every method and
-with no factor: the disk's operator is block-circulant in theta (an rfft
-leaves one tridiagonal system in r per mode), and the square's is
-diagonalized by DST-I on both axes.  A ``Solver`` value carries the settings of
-every solve of a run: tolerance, method, iteration cap (CG only) and
-truncation schedule.
+``DiscreteOperator.solve_load``, which picks its path from its arguments
+alone, at every grid size.  A zero-potential system on the disk or the
+square is solved by fast transforms under every method and with no factor:
+the disk's operator is block-circulant in theta (an rfft leaves one
+tridiagonal system in r per mode), and the square's is diagonalized by
+DST-I on both axes.  Method "auto" solves any other system by
+transform-PCG when it is given a start on the disk or the square, else by
+the operator's cached sparse LU factor (one factorization serves every
+right-hand side, which kernel sets rely on); method "cg" runs conjugate
+gradients with a Jacobi preconditioner instead.  A ``Solver`` value carries
+the settings of every solve of a run: tolerance, method, iteration cap (CG
+only) and truncation schedule.
 
 The discrete limit of a potential is one solve on the operator of
 ``limit_operator``, which states the level rule.  The schedule is walked only
@@ -33,22 +35,24 @@ up to the first saturated one.
 
 The truncation-schedule walk ``walk`` carries one load vector and passes the
 previous level's solution to ``solve_load`` as ``guess``.  On the disk and the
-square such a level, before its operator holds a factor, is solved by CG
-preconditioned with the transform of ``P = K_0 + D``, where ``D`` is the
-largest diagonal below ``diag(V w)`` that the transform inverts exactly: the
-ring minima of ``V w`` on the disk, its least value on the square.  Hardy's
-inequality on a convex domain gives ``K_0 <= P <= K_k <= (1 + 4 lam) K_0``
-whenever ``0 <= min(V, k) <= lam d^-2``, so the iterations do not grow as h
-shrinks, and a radial V on the disk has ``P = K_k``.
+square such a level is solved by CG preconditioned with the transform of
+``P = K_0 + D``, where ``D`` is the largest diagonal below ``diag(V w)`` that
+the transform inverts exactly: the ring minima of ``V w`` on the disk, its
+least value on the square.  Hardy's inequality on a convex domain gives
+``K_0 <= P <= K_k <= (1 + 4 lam) K_0`` whenever ``0 <= min(V, k) <= lam
+d^-2``, so the iterations do not grow as h shrinks, and a radial V on the
+disk has ``P = K_k``.
 Measured per warm-started level: 1 for ``d^-1.5`` and ``d^-3`` on disk
 nr = 32, 64, 6-16 there for an off-centre singularity with alpha = 2.5, and
 on square n = 128, 256 5-9 for ``d^-1.5`` and up to 36 for ``d^-3`` (beyond
 Hardy); a cold ``d^-3`` solve on the square takes up to 51.  ``PCG_BUDGET``
-lies above that, and a level that misses it is factored.  A first level
-given no guess (``stlab solve``'s) is factored, and so is every level on the
-interval, which has no transform; outside an operator cache the walk drops
-the factor of each level it leaves.  The inequality suite and ``hopf_check``
-start every walk from zero, so ``stlab verify`` factors limit operators only.
+lies above that, and only a level that misses it reads (or makes) its
+operator's factor, so a factor left by another check never changes a
+level's solution.  A first level given no guess (``stlab solve``'s) is
+factored, and so is every level on the interval, which has no transform;
+outside an operator cache the walk drops the factor of each level it
+leaves.  The inequality suite and ``hopf_check`` start every walk from
+zero, so ``stlab verify`` factors limit operators only.
 Every path enforces the relative-residual postcondition.
 """
 
@@ -69,9 +73,8 @@ from .measure import Measure, is_nonnegative, load_vector, total_variation
 from .potential import Potential, PotentialError, TruncationSchedule, sample
 
 DEFAULT_TOL = 1e-10
-DIRECT_LIMIT = 200_000
-METHODS = ("auto", "direct", "cg")
-PCG_BUDGET = 64  # transform-PCG iterations before a walk level is factored
+METHODS = ("auto", "cg")
+PCG_BUDGET = 64  # transform-PCG iterations before a walk level takes the LU factor
 
 
 class SolverError(RuntimeError):
@@ -80,10 +83,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Solver:
-    """How a run solves: the relative-residual tolerance, the method ("auto",
-    "direct" or "cg"), the iteration cap of method "cg" (None: 10 times the
-    unknowns; no other method takes one) and the truncation schedule that
-    unbounded potentials walk."""
+    """How a run solves: the relative-residual tolerance, the method ("auto"
+    or "cg", see ``DiscreteOperator.solve_load``), the iteration cap of
+    method "cg" (None: 10 times the unknowns; "auto" takes none) and the
+    truncation schedule that unbounded potentials walk."""
 
     tol: float = DEFAULT_TOL
     method: str = "auto"
@@ -100,13 +103,6 @@ class Solver:
             raise ValueError(f"solver max_iter must be None or >= 1, got {self.max_iter!r}")
         if self.max_iter is not None and self.method != "cg":
             raise ValueError(f"solver max_iter is read by method cg only, not {self.method}")
-
-
-def _direct(solver: Solver, domain: Domain) -> bool:
-    """Whether ``solver`` factors on ``domain``: "auto" does up to DIRECT_LIMIT unknowns."""
-    if solver.method == "auto":
-        return domain.n_interior <= DIRECT_LIMIT
-    return solver.method == "direct"
 
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
@@ -170,12 +166,12 @@ class DiscreteOperator:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
         A zero potential on the disk or the square is solved by transforms
-        (``_TRANSFORMS``), whatever the method and the size.  Otherwise a
-        direct solve uses this operator's LU factor, made on first use; until
-        then a ``guess`` on the disk or the square starts CG preconditioned
-        with the transform given this operator's diagonal ``V w``, stopped at
-        1e-2 * solver.tol, and a load that misses PCG_BUDGET iterations
-        factors (see the module docstring).
+        (``_TRANSFORMS``), whatever the method.  Otherwise method "cg" runs
+        Jacobi CG.  Under "auto" a ``guess`` on the disk or the square starts
+        CG preconditioned with the transform given this operator's diagonal
+        ``V w``, stopped at 1e-2 * solver.tol; any other load, and one that
+        misses PCG_BUDGET iterations, is solved by this operator's LU factor,
+        made on first use (see the module docstring).
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
@@ -183,11 +179,11 @@ class DiscreteOperator:
         transform = _TRANSFORMS.get(self.domain.kind)
         if transform is not None and not self.v_values.any():  # V w = v_values = 0
             u = transform(self.domain, load.reshape(load.shape[0], -1), self.v_values).reshape(load.shape)
-        elif not _direct(solver, self.domain):
+        elif solver.method == "cg":
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
             diag = _stiffness(self.domain).diagonal() + self.v_values * self.domain.system_weights
             u = self._cg(load, sp.diags(1.0 / diag), max_iter, solver.tol)
-        elif transform is not None and guess is not None and self._lu is None:
+        elif transform is not None and guess is not None:
             vw = self.v_values * self.domain.system_weights
             precond = spla.LinearOperator(
                 (load.shape[0],) * 2, dtype=float,
@@ -319,8 +315,8 @@ def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
     sample, among all solves on ``domain`` inside the block; dropped on exit.
     A walk keeps the factor of a level it could not solve by PCG (no start,
-    or past ``PCG_BUDGET``), and a direct solve outside a walk on an
-    operator that a walk solved by PCG factors it.
+    or past ``PCG_BUDGET``), and a solve given no start factors an operator
+    that a walk solved by PCG; a started level takes PCG even so.
 
     Adjoint kernels are memoized on their operator (see ``stlab.kernel``) and
     ``solve_truncated_limit``'s walks here under tuple keys, so two checks

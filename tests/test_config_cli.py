@@ -314,11 +314,15 @@ def test_cli_verify_writes_non_finite_values_as_null(tmp_path):
     assert comparison["cases"][1]["left"] is None
 
 
-def test_cli_unknown_family_exits_two(tmp_path, capsys):
-    cfg = write(tmp_path, "potential.family = bogus\n")
+@pytest.mark.parametrize("text,key", [
+    ("potential.family = bogus\n", "potential.family"),
+    # "auto" factors at every grid size, so there is no "direct" method
+    ("solver.method = direct\n", "solver.method"),
+], ids=["family", "method-direct"])
+def test_cli_unknown_choice_exits_two(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, text)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "potential.family" in err
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_cli_unknown_key_exits_two(tmp_path, capsys):
@@ -561,20 +565,19 @@ def test_cli_cg_iteration_cap_exits_two(tmp_path, capsys, monkeypatch, command, 
     ("potential.family = constant\npotential.alpha = 1.5\n", "potential.alpha"),
     ("measure.density.alpha = 0.3\n", "measure.density.alpha"),
     ("measure.density = uniform\nmeasure.density.scale = 2\n", "measure.density.scale"),
-    ("solver.method = direct\nsolver.max_iter = 50\n", "solver.max_iter"),
+    ("solver.max_iter = 50\n", "solver.max_iter"),
     ("solver.method = auto\nsolver.max_iter = 50\n", "solver.max_iter"),
 ], ids=["value-power", "x0-power", "alpha-constant", "density-unset", "scale-uniform",
-        "max_iter-direct", "max_iter-auto"])
+        "max_iter-unset", "max_iter-auto"])
 def test_cli_unused_family_parameter_exits_two(tmp_path, capsys, text, key):
     cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + text)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert repr(key) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["auto", "direct"])
+@pytest.mark.parametrize("method", ["", "solver.method = auto\n"], ids=["unset", "auto"])
 def test_cli_env_iteration_cap_without_cg_exits_two(tmp_path, capsys, monkeypatch, method):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n"
-                f"solver.method = {method}\n")
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\nmeasure.atom = 0.5,1.0\n" + method)
     monkeypatch.setenv("STL_SOLVER_MAX_ITER", "50")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
     assert "'solver.max_iter'" in capsys.readouterr().err

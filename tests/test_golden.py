@@ -35,6 +35,19 @@ def test_cli_outputs_match_golden(tmp_path, command, name):
         assert (out / fname).read_bytes() == expected, fname
 
 
+def test_check_order_leaves_outputs_unchanged(tmp_path, monkeypatch):
+    # the inequality suite and hopf share the base grid's operators; a walk
+    # level takes the same path whichever check factored its operator first
+    outs = []
+    for order in ("inequalities,hopf", "hopf,inequalities"):
+        monkeypatch.setenv("STL_CHECKS", order)
+        outs.append(tmp_path / order.replace(",", "-"))
+        assert main(["verify", "--config", os.path.join(GOLDEN, "verify_disk.cfg"),
+                     "--out", str(outs[-1])]) == 0
+    for fname in ("hopf.csv", "inequalities.csv"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 

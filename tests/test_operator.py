@@ -175,7 +175,7 @@ def test_absorption_bounded_by_mass(x0, c):
 def test_cg_matches_direct(interval64):
     load = load_vector(dirac([0.37]) + density_measure(uniform_density(1.0)), interval64)
     op = assemble(interval64, constant_potential(1.0))
-    x_direct = op.solve_load(load, Solver(method="direct"))
+    x_direct = op.solve_load(load, Solver())
     x_cg = op.solve_load(load, Solver(method="cg"))
     np.testing.assert_allclose(x_cg, x_direct, atol=1e-8)
 
@@ -204,9 +204,9 @@ def test_cg_iteration_cap_reaches_library_solves(interval64, solve):
     ({"max_iter": 0}, "max_iter"),
     ({"max_iter": -5}, "max_iter"),
     ({"method": "auto", "max_iter": 5}, "max_iter"),
-    ({"method": "direct", "max_iter": 5}, "max_iter"),
+    ({"method": "direct"}, "method"),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "method-unknown",
-        "max_iter-zero", "max_iter-negative", "max_iter-auto", "max_iter-direct"])
+        "max_iter-zero", "max_iter-negative", "max_iter-auto", "method-direct"])
 def test_solver_rejects_invalid_settings(kwargs, field):
     with pytest.raises(ValueError, match=field):
         Solver(**kwargs)
@@ -248,15 +248,14 @@ ZERO_POTENTIAL_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("method", ["auto", "direct"])
 @pytest.mark.parametrize("kind", list(ZERO_POTENTIAL_GRIDS))
-def test_zero_potential_solves_factor_only_on_the_interval(factorizations, monkeypatch, method, kind):
+def test_zero_potential_solves_factor_only_on_the_interval(factorizations, monkeypatch, kind):
     calls, _ = factorizations
     cg = _spy_cg(monkeypatch)
     d = ZERO_POTENTIAL_GRIDS[kind]()
     op = assemble(d, zero_potential())
     for load in (np.ones(d.n_interior), np.ones((d.n_interior, 3))):
-        op.solve_load(load, Solver(method=method))
+        op.solve_load(load)
     assert len(calls) == (kind == "interval")
     assert cg == []
 
@@ -482,23 +481,31 @@ def test_wide_short_schedule_factors_once(factorizations):
     assert live_factored == [0, 0]
 
 
-def test_walk_solves_cached_factors_directly(factorizations, monkeypatch):
+@pytest.mark.parametrize("build", [lambda: build_disk(8), lambda: build_rectangle(8)],
+                         ids=["disk8", "rect8"])
+def test_started_walk_takes_pcg_on_factored_operators(build, factorizations, monkeypatch):
+    # a factor another computation left on a level's operator does not choose
+    # the level's path: a started level still takes transform-PCG, makes no
+    # factor and solves bit for bit as on a grid with no factors
     calls, _ = factorizations
-    pcg = _spy_cg(monkeypatch)
-    d = build_disk(8)
+    d = build()
     pot = power_distance_potential(1.5)
-    load = load_vector(dirac([0.2, -0.1]), d)
+    load = load_vector(dirac([0.4, 0.55] if d.kind == "rectangle" else [0.2, -0.1]), d)
+    start = np.zeros(d.n_interior)
+    fresh = [u for _, _, u in walk(d, pot, load, guess=start) if u is not None]
+    assert calls == []
     with cached_operators(d):
-        steps = [(op, u) for _, op, u in walk(d, pot, load) if u is not None]
-        assert len(steps) > 2 and len(calls) == 1 and pcg
-        # a solve outside the walk factors each level the walk solved by PCG
-        for op, _ in steps:
-            op.solve_load(load)
-        assert len(calls) == len(steps)
-        pcg.clear()
-        again = [u for _, _, u in walk(d, pot, load) if u is not None]
-    assert len(again) == len(steps) == len(calls)
-    assert pcg == []
+        ops = [op for _, op, u in walk(d, pot, load) if u is not None]
+        for op in ops:
+            op.solve_load(load)  # no start: each level is factored
+        assert len(ops) > 2 and len(calls) == len(ops)
+        pcg = _spy_cg(monkeypatch)
+        again = [(op, u) for _, op, u in walk(d, pot, load, guess=start) if u is not None]
+    assert [op for op, _ in again] == ops
+    assert len(pcg) == len(ops) and len(calls) == len(ops)
+    assert len(fresh) == len(again)
+    for u, (_, ref) in zip(fresh, again):
+        np.testing.assert_array_equal(u, ref)
 
 
 def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkeypatch):
