@@ -15,11 +15,12 @@ Every grid follows the same conventions.
   data.
 * ``stencil(domain)`` lists the faces of the stiffness form between
   interior nodes with their edge-difference coefficients.  It is computed
-  from ``kind`` and ``resolution`` where K is assembled and is not stored,
-  so a grid that is only sampled never builds it.  On the interval and the
-  square it is the standard 3/5-point stencil (uniform coefficients); on the
-  disk it holds the exact polar flux coefficients (face length over node
-  distance).  Boundary faces are not listed: the operator derives them from
+  from ``kind`` and ``resolution`` where K is assembled, which only a factor
+  needs, and is not stored, so a grid that is only sampled or solved without
+  a factor never builds it.  On the interval and the square it is the
+  standard 3/5-point stencil (uniform coefficients); on the disk it holds
+  the exact polar flux coefficients (face length over node distance).
+  Boundary faces are not listed: the operator derives them from
   the trace stencil, one face per boundary node to its first neighbor with
   coefficient surface weight / normal spacing, so the discrete flux balance
   is exact by construction.  The square's four corner nodes

@@ -2,9 +2,12 @@
 
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
 difference coefficients of the grid, and the load vector holds cell integrals
-of the measure.  K is cached on the grid and read-only; solves apply ``K x +
-(V * system_weights) x``, and an operator's ``system`` (K with that diagonal
-added, K itself for V = 0) is built only for a factor.  On the interval and
+of the measure.  Solves apply ``K x + (V * system_weights) x``, with K applied
+by its stencil on the disk and the square, so the matrix K is assembled (and
+cached on the grid, read-only) only for a factor, which every solve on the
+interval makes: for an operator's ``system`` (K with that diagonal added, K
+itself for V = 0), which ``splu`` and ``energy`` read, and for Jacobi CG's
+diagonal.  On the interval and
 the square K is ``h^dim`` times the standard 3/5-point stencil matrix; on the
 disk K itself is the symmetric flux-form polar operator.  Either way K is
 symmetric positive definite, the discrete maximum principle holds, and the
@@ -107,7 +110,11 @@ class Solver:
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
     """Symmetric face-difference form of the Laplacian with Dirichlet closure,
-    cached on the grid and read-only, since operators share it.  Its interior
+    cached on the grid and read-only, since operators share it.  Only a
+    factor needs the matrix (``DiscreteOperator.system``, and Jacobi CG's
+    diagonal); solves on the disk and the square apply K by its stencil
+    (``DiscreteOperator._apply``), so a grid that never factors never
+    assembles it.  Its interior
     faces are ``stencil(domain)``'s, built here and dropped once K is
     assembled; its boundary faces are the first-order trace stencil's, so its
     flux is the trace's."""
@@ -130,9 +137,10 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
 
 
 class DiscreteOperator:
-    """Assembled symmetric positive-definite operator for one potential sample;
-    solves apply ``K x + (V w) x``, and ``system`` (a copy of K with ``V w`` on
-    its diagonal, K for V = 0) is built on first read: by ``splu`` or ``energy``."""
+    """Symmetric positive-definite operator for one potential sample; solves
+    apply ``K x + (V w) x`` (see ``_apply``), and ``system`` (a copy of K with
+    ``V w`` on its diagonal, K for V = 0), the only reader of the grid's
+    matrix K, is built on first read: by ``splu`` or ``energy``."""
 
     def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
@@ -154,12 +162,17 @@ class DiscreteOperator:
         return system
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """``K x + (V w) x`` for one or many columns, without ``system``."""
-        y = _stiffness(self.domain) @ x
-        if self.v_values.any():
-            vw = self.v_values * self.domain.system_weights
-            y += vw.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-        return y
+        """``K x + (V w) x`` for one or many columns, without ``system``: on
+        the disk and the square by K's stencil, one path per grid kind, so a
+        grid that is only solved never assembles K; the interval, whose every
+        solve factors, multiplies by K."""
+        cols = x.reshape(x.shape[0], -1)
+        vw = self.v_values * self.domain.system_weights
+        if self.domain.kind == "interval":
+            y = _stiffness(self.domain) @ cols + vw[:, None] * cols
+        else:
+            y = (_disk_stencil if self.domain.kind == "disk" else _square_stencil)(self.domain, cols, vw)
+        return y.reshape(x.shape)
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
                    guess: np.ndarray | None = None) -> np.ndarray:
@@ -243,6 +256,58 @@ def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gp
 
 
+def _disk_coefs(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """The disk's ring coefficients, each repeated around its ring: radial
+    ``[i]`` couples ring i to ring i + 1 (ring 0 the centre, the last the
+    boundary face ``sw/ns`` of the trace stencil), angular ``[i]`` the
+    neighbours within ring i + 1 (see ``_disk_ring_coefs``)."""
+    radial, angular = _disk_ring_coefs(domain.resolution["nr"], domain.resolution["ntheta"])
+    return np.append(radial, domain.surface_weights[0] / domain.normal_spacing[0]), angular
+
+
+def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """``K + diag(vw)`` times ``cols`` on the disk from the ring coefficients:
+    the centre row couples to ring 1, ring rows to their radial and (by
+    slices, cyclic in theta) angular neighbours; the last ring's outer face
+    is the boundary's, whose node is not an unknown."""
+    nt = domain.resolution["ntheta"]
+    radial, angular = _disk_coefs(domain)
+    x = cols[1:].reshape(radial.size - 1, nt, -1)
+    y = np.empty_like(cols)
+    y[0] = (nt * radial[0] + vw[0]) * cols[0] - radial[0] * x[0].sum(axis=0)
+    ring = y[1:].reshape(x.shape)
+    diag = (radial[:-1] + radial[1:] + 2.0 * angular)[:, None] + vw[1:].reshape(x.shape[:2])
+    np.multiply(diag[:, :, None], x, out=ring)
+    ring[0] -= radial[0] * cols[0]
+    inner = radial[1:-1, None, None]
+    t = np.empty_like(x)  # one scratch for all products: fresh large temporaries raise peak RSS
+    np.multiply(inner, x[:-1], out=t[1:])
+    ring[1:] -= t[1:]
+    np.multiply(inner, x[1:], out=t[1:])
+    ring[:-1] -= t[1:]
+    np.multiply(angular[:, None, None], x, out=t)
+    ring[:, 1:] -= t[:, :-1]
+    ring[:, 0] -= t[:, -1]
+    ring[:, :-1] -= t[:, 1:]
+    ring[:, -1] -= t[:, 0]
+    return y
+
+
+def _square_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """``K + diag(vw)`` times ``cols`` on the square: ``stencil``'s
+    coefficient is 1 and so is every boundary face's ``sw/ns``, so each row
+    is ``(4 + vw) x`` minus its interior neighbours (the corners, which have
+    no face, couple to none)."""
+    m = domain.resolution["n"] - 1
+    x = cols.reshape(m, m, -1)
+    y = (4.0 + vw).reshape(m, m, 1) * x
+    y[:, 1:] -= x[:, :-1]
+    y[:, :-1] -= x[:, 1:]
+    y[1:] -= x[:-1]
+    y[:-1] -= x[1:]
+    return y.reshape(cols.shape)
+
+
 def _disk_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """Solve on the disk with ``K_0`` plus ring minima of the diagonal ``vw``:
     the ring coefficients repeat around each ring, so an rfft along theta
@@ -250,11 +315,9 @@ def _disk_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndar
     ``ntheta * u_centre`` in mode 0 (so the centre adds ``vw[0] / ntheta``),
     which keeps that mode's system symmetric, and a decoupled identity row in
     the others.  Exact where ``vw`` is constant on every ring.  The ring
-    coefficients are the ones ``stencil`` repeats around each ring, and the
-    outermost radial face is the boundary face of the trace stencil."""
+    coefficients are ``_disk_coefs``'s, the ones ``_disk_stencil`` applies."""
     nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
-    radial, angular = _disk_ring_coefs(nr, nt)
-    radial = np.append(radial, domain.surface_weights[0] / domain.normal_spacing[0])
+    radial, angular = _disk_coefs(domain)
     mode = np.arange(nt // 2 + 1)
     diag = np.empty((nr, mode.size))
     diag[0] = 1.0

@@ -1,12 +1,13 @@
 """Boundary flux extraction: one-sided normal derivatives and the flux identity.
 
 Traces use the inward normal, so nonnegative solutions have nonnegative
-traces.  The assembled operator's boundary faces are built from the
-first-order stencil u(a + s*n)/s itself (``operator._stiffness``), so the
-integrated flux balance (the Green identity with test function 1,
-``flux_balance_residual``) holds to solver tolerance by construction; only
-the square's four corner nodes, which have no boundary face, leave a defect,
-of second order in h.
+traces.  The operator's boundary faces, in the matrix K that only a factor
+assembles (``operator._stiffness``) and in the stencil that every other solve
+applies (``operator.DiscreteOperator._apply``), are built from the
+first-order stencil u(a + s*n)/s itself, so the integrated flux balance (the
+Green identity with test function 1, ``flux_balance_residual``) holds to
+solver tolerance by construction; only the square's four corner nodes, which
+have no boundary face, leave a defect, of second order in h.
 """
 
 from __future__ import annotations

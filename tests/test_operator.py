@@ -96,6 +96,36 @@ def test_system_is_k_plus_vw_bit_for_bit(grid, v):
         K.data[0] = 1.0
 
 
+STENCIL_GRIDS = {
+    "rect4": lambda: build_rectangle(4),
+    "rect16": lambda: build_rectangle(16),
+    "rect64": lambda: build_rectangle(64),
+    "disk4x4": lambda: build_disk(4, 4),
+    "disk6x5": lambda: build_disk(6, 5),
+    "disk8x32": lambda: build_disk(8, 32),
+    "disk32x128": lambda: build_disk(32, 128),
+}
+
+
+@pytest.mark.parametrize("v", ["zero", "random"])
+@pytest.mark.parametrize("columns", [None, 7])
+@pytest.mark.parametrize("grid", list(STENCIL_GRIDS))
+def test_stencil_apply_matches_k(grid, columns, v):
+    # solves on the disk and the square apply K + diag(V w) by K's stencil,
+    # never by the matrix; it is the same operator up to the order of the sums
+    d = STENCIL_GRIDS[grid]()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(d.n_interior if columns is None else (d.n_interior, columns))
+    vv = SYSTEM_SAMPLES[v](d)
+    got = DiscreteOperator(d, vv)._apply(x)
+    assert d._stiffness is None
+    vw = vv * d.system_weights
+    want = _stiffness(d) @ x + (vw if columns is None else vw[:, None]) * x
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert np.all(err <= 1e-15), err
+
+
 def test_apply_zero_field(interval64):
     op = assemble(interval64, constant_potential(1.0))
     np.testing.assert_allclose(op.system @ np.zeros(interval64.n_interior), 0.0)

@@ -1,7 +1,10 @@
 """Theorem-level checks: representation, estimates, boundary positivity."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stlab import (
     Measure,
@@ -358,15 +361,50 @@ def test_certificate_walks_one_ladder(monkeypatch, refinements):
     assert [b["nr"] for b in builds] == [8 * 2 ** k for k in range(1, len(builds) + 1)]
 
 
-def test_certificate_builds_no_stencil_on_a_sampled_grid(monkeypatch):
-    # the last rung (nr = 256) only samples V for the distance-weighted norm,
-    # so it assembles no K and never lists its faces
+def test_certificate_builds_no_stencil_on_any_rung(monkeypatch):
+    # the rungs are solved by transform-PCG, which applies K by its stencil,
+    # and the last (nr = 256) only samples V: no rung assembles K or lists
+    # its faces
     built = []
     real = domain_module.stencil
     for module in (domain_module, operator_module):
         monkeypatch.setattr(module, "stencil", lambda d: built.append(d.resolution["nr"]) or real(d))
     hopf_certificate(build_disk(32), power_distance_potential(1.5), refinements=2)
-    assert built == [32, 64, 128]
+    assert built == []
+
+
+def test_verify_assembles_k_only_on_grids_that_factor(tmp_path, monkeypatch):
+    # K is read by splu alone in a verify run: on the golden disk config at
+    # nr = 32 only the base grid's limit operator factors, so only that grid
+    # assembles K; the certificate on its own (which reads no measure)
+    # factors nothing and builds no K
+    assembled, factored = [], []
+    real_stiffness, real_splu = operator_module._stiffness, spla.splu
+
+    def stiffness(d):
+        if d._stiffness is None:
+            assembled.append((d.resolution["nr"], d.n_interior))
+        return real_stiffness(d)
+
+    def splu(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(operator_module, "_stiffness", stiffness)
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setenv("STL_DOMAIN_NR", "32")
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden", "verify_disk.cfg")) as fh:
+        golden = fh.read()
+    assert main(["verify", "--config", write(tmp_path, golden), "--out", str(tmp_path / "all")]) == 0
+    assert [nr for nr, _ in assembled] == [32]
+    assert {n for _, n in assembled} == set(factored)
+    assembled.clear()
+    factored.clear()
+    certificate = "".join(line for line in golden.splitlines(keepends=True)
+                          if not line.startswith(("measure.", "checks ")))
+    certificate = write(tmp_path, certificate + "checks = hopf_certificate\n", "certificate.cfg")
+    assert main(["verify", "--config", certificate, "--out", str(tmp_path / "certificate")]) == 0
+    assert assembled == [] and factored == []
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
