@@ -6,7 +6,9 @@ configuration or usage errors (the diagnostic names the offending key).
 Outputs are deterministic for a fixed config: each CSV block is printed with
 one row template (ints and bools %d, floats %.17g, names %s), JSON keys are
 sorted, and the only randomness (energy perturbations) is seeded from the
-config.
+config.  The kernel table, whose node column is the same in every block,
+formats that column once per run: each of its blocks formats only its
+boundary node and its kernel values.
 """
 
 from __future__ import annotations
@@ -47,12 +49,14 @@ def _write_csv(path: str, header, blocks) -> None:
     """Write ``schema=1``, the header, then each block's rows.
 
     A block is a sequence of equal-length columns (arrays or lists).  Each
-    block is one printf: a row template built from the column dtypes (ints
+    block is one ``%``: a row template built from the column dtypes (ints
     and bools ``%d``, floats FLOAT_FMT, anything else ``%s``), repeated once
-    per row and filled with the cells row by row.  Nothing is quoted: every
-    string cell is a case name the program makes (``boundary_node_<i>``,
-    ``trace_nonnegative_h_<h>`` or a fixed name), none with a comma, quote or
-    newline.
+    per row and filled with every cell of the block, row by row, so each
+    cell is formatted again in every block (``run_kernel`` writes its table
+    from a template that holds its repeated node column already formatted,
+    to the same bytes).  Nothing is quoted: every string cell is a case name
+    the program makes (``boundary_node_<i>``, ``trace_nonnegative_h_<h>`` or
+    a fixed name), none with a comma, quote or newline.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("schema=1\n" + ",".join(header) + "\n")
@@ -122,10 +126,13 @@ def run_kernel(cfg: RunConfig, out_dir: str) -> int:
     kset = kernel_set(domain, potential, cfg.sample_indices(domain), cfg.build_solver(),
                       order=cfg["trace.order"])
     if "csv" in cfg["format"]:
-        nodes = np.arange(domain.n_interior)
-        _write_csv(os.path.join(out_dir, "kernels.csv"), ("boundary", "node", "value"),
-                   ((np.full(nodes.size, a), nodes, kset.kernels[:, col])
-                    for col, a in enumerate(kset.samples)))
+        # _write_csv's rows, with the node column (the same in every block)
+        # formatted once: each block fills in its boundary node, then its values
+        rows = "".join(f"@,{i},{FLOAT_FMT}\n" for i in range(domain.n_interior))
+        with open(os.path.join(out_dir, "kernels.csv"), "w", newline="", encoding="utf-8") as fh:
+            fh.write("schema=1\nboundary,node,value\n")
+            for col, a in enumerate(kset.samples):
+                fh.write(rows.replace("@", str(int(a))) % tuple(kset.kernels[:, col].tolist()))
     if "json" in cfg["format"]:
         summary = kernel_summary(kset)
         summary["config"] = cfg.echo()

@@ -64,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -256,13 +256,17 @@ def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gp
 
 
-def _disk_coefs(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _disk_coefs(nr: int, ntheta: int) -> tuple[np.ndarray, np.ndarray]:
     """The disk's ring coefficients, each repeated around its ring: radial
     ``[i]`` couples ring i to ring i + 1 (ring 0 the centre, the last the
-    boundary face ``sw/ns`` of the trace stencil), angular ``[i]`` the
-    neighbours within ring i + 1 (see ``_disk_ring_coefs``)."""
-    radial, angular = _disk_ring_coefs(domain.resolution["nr"], domain.resolution["ntheta"])
-    return np.append(radial, domain.surface_weights[0] / domain.normal_spacing[0]), angular
+    boundary face ``sw/ns = dtheta/dr`` of ``build_disk``'s trace stencil),
+    angular ``[i]`` the neighbours within ring i + 1 (see
+    ``_disk_ring_coefs``).  Built once per resolution, read-only."""
+    radial, angular = _disk_ring_coefs(nr, ntheta)
+    radial = np.append(radial, (2.0 * np.pi / ntheta) / (1.0 / nr))
+    radial.flags.writeable = angular.flags.writeable = False
+    return radial, angular
 
 
 def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
@@ -271,7 +275,7 @@ def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarra
     slices, cyclic in theta) angular neighbours; the last ring's outer face
     is the boundary's, whose node is not an unknown."""
     nt = domain.resolution["ntheta"]
-    radial, angular = _disk_coefs(domain)
+    radial, angular = _disk_coefs(domain.resolution["nr"], nt)
     x = cols[1:].reshape(radial.size - 1, nt, -1)
     y = np.empty_like(cols)
     y[0] = (nt * radial[0] + vw[0]) * cols[0] - radial[0] * x[0].sum(axis=0)
@@ -317,7 +321,7 @@ def _disk_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndar
     the others.  Exact where ``vw`` is constant on every ring.  The ring
     coefficients are ``_disk_coefs``'s, the ones ``_disk_stencil`` applies."""
     nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
-    radial, angular = _disk_coefs(domain)
+    radial, angular = _disk_coefs(nr, nt)
     mode = np.arange(nt // 2 + 1)
     diag = np.empty((nr, mode.size))
     diag[0] = 1.0

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stlab import cli
 from stlab.cli import FLOAT_FMT, _write_csv, main
@@ -20,6 +20,7 @@ from stlab.config import (
     parse_config_text,
 )
 from stlab.domain import Domain, build_interval
+from stlab.kernel import KernelSet, resolve_samples
 from stlab.measure import density_measure, power_distance_density, total_variation
 from stlab.operator import solve_truncated_limit
 from test_golden import _reject_constant
@@ -456,6 +457,44 @@ def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     _write_csv(str(path), header, blocks)
     assert path.read_bytes() == _reference_csv(header, blocks)
+
+
+_KERNEL_SAMPLES = ("all", "stride:4", "5,0,17", "9")
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.sampled_from(_KERNEL_SAMPLES),
+       pool=st.lists(_COLUMN_CELLS["float"], min_size=1, max_size=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(samples="all", pool=[-0.0, 5e-324, 1e300, np.nan, 1.0 / 3.0], seed=0)
+@example(samples="stride:4", pool=[-0.0, 5e-324, 1e300, np.nan, 1.0 / 3.0], seed=1)
+@example(samples="5,0,17", pool=[-0.0, 5e-324, 1e300, np.nan, 1.0 / 3.0], seed=2)
+@example(samples="9", pool=[-0.0, 5e-324, 1e300, np.nan, 1.0 / 3.0], seed=3)
+def test_cli_kernel_csv_matches_cell_by_cell_reference(tmp_path_factory, samples, pool, seed):
+    # stlab kernel formats kernels.csv from its own row template, not through
+    # _write_csv; it must print what the cell-by-cell reference prints for
+    # one (boundary, node, value) block per sampled node, in sample order.
+    # The kernel values are drawn, not solved
+    tmp = tmp_path_factory.mktemp("kernel")
+    cfg = write(tmp, "domain.kind = disk\ndomain.nr = 4\ndomain.ntheta = 20\n"
+                     f"samples = {samples}\nformat = csv\n")
+    drawn = []
+
+    def fake_kernel_set(domain, potential, idx, solver, order):
+        idx = resolve_samples(domain, idx)
+        kernels = np.random.default_rng(seed).choice(np.array(pool), (domain.n_interior, idx.size))
+        drawn.append((domain.n_interior, idx, kernels))
+        return KernelSet(domain, idx, kernels, potential.label, None)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "kernel_set", fake_kernel_set)
+        assert main(["kernel", "--config", cfg, "--out", str(tmp / "out")]) == 0
+    [(n, idx, kernels)] = drawn
+    assert idx.tolist() == {"all": list(range(20)), "stride:4": [0, 4, 8, 12, 16],
+                            "5,0,17": [5, 0, 17], "9": [9]}[samples]
+    blocks = [(np.full(n, a), np.arange(n), kernels[:, col]) for col, a in enumerate(idx)]
+    expected = _reference_csv(("boundary", "node", "value"), blocks)
+    assert (tmp / "out" / "kernels.csv").read_bytes() == expected
 
 
 def test_write_csv_prints_percent_in_names_literally(tmp_path):

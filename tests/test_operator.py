@@ -40,6 +40,7 @@ from stlab.operator import (
     DEFAULT_TOL,
     DiscreteOperator,
     SolverError,
+    _disk_coefs,
     _stiffness,
     cached_operators,
     walk,
@@ -124,6 +125,22 @@ def test_stencil_apply_matches_k(grid, columns, v):
     assert got.shape == want.shape
     err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert np.all(err <= 1e-15), err
+
+
+@pytest.mark.parametrize("grid", [g for g in STENCIL_GRIDS if g.startswith("disk")])
+def test_disk_coefs_are_built_once_per_resolution_read_only(grid):
+    # the stencil and the transform read one cached pair per (nr, ntheta);
+    # its boundary face is the grid's sw/ns to the byte, and no caller can
+    # change the pair under the next grid of that resolution
+    d = STENCIL_GRIDS[grid]()
+    nr, nt = d.resolution["nr"], d.resolution["ntheta"]
+    radial, angular = _disk_coefs(nr, nt)
+    assert _disk_coefs(nr, nt)[0] is radial
+    assert radial[-1] == d.surface_weights[0] / d.normal_spacing[0]
+    assert radial.size == nr and angular.size == nr - 1
+    for a in (radial, angular):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_apply_zero_field(interval64):
