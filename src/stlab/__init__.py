@@ -50,11 +50,7 @@ from .operator import (
     solve_dirichlet,
     solve_truncated_limit,
 )
-from .trace import (
-    flux_balance_residual,
-    normal_derivative,
-    trace_matrix,
-)
+from .trace import flux_balance_residual, normal_derivative
 from .kernel import (
     KernelSet,
     duality_kernel,
@@ -127,7 +123,6 @@ __all__ = [
     "table_density",
     "table_potential",
     "total_variation",
-    "trace_matrix",
     "truncation_kernels",
     "uniform_density",
     "zero_potential",

@@ -182,6 +182,8 @@ def _run_check(name: str, cfg: RunConfig, domain: Domain) -> VerifyReport:
 
 
 def run_verify(cfg: RunConfig, out_dir: str) -> int:
+    if not cfg["checks"]:  # a suite of no checks would pass having tested nothing
+        raise ConfigError("config key 'checks': verify runs at least one check")
     domain = cfg.build_domain()
     with cached_operators(domain):
         reports = [_run_check(name, cfg, domain) for name in cfg["checks"]]

@@ -11,26 +11,15 @@ Every grid follows the same conventions.
   summing to the exact boundary measure, and the indices of their first and
   second interior neighbors along the inward normal, together with the
   spacing (the second neighbor lies at twice the first's displacement).
-  One-sided trace stencils and adjoint source vectors consume exactly this
-  data.
-* ``stencil(domain)`` lists the faces of the stiffness form between
-  interior nodes with their edge-difference coefficients.  It is computed
-  from ``kind`` and ``resolution`` where K is assembled, which only a factor
-  needs, and is not stored, so a grid that is only sampled or solved without
-  a factor never builds it.  On the interval and the square it is the
-  standard 3/5-point stencil (uniform coefficients); on the disk it holds
-  the exact polar flux coefficients (face length over node distance).
-  Boundary faces are not listed: the operator derives them from
-  the trace stencil, one face per boundary node to its first neighbor with
-  coefficient surface weight / normal spacing, so the discrete flux balance
-  is exact by construction.  The square's four corner nodes
-  (``corner_mask``) have none.
-* The disk grid is polar with an ordinary unknown at the center, coupled to
-  the innermost ring through the faces of the small center cell.
+  The trace stencil (``stlab.trace``) and the operator's boundary faces
+  consume exactly this data.
+* The disk grid is polar with an ordinary unknown at the center, whose cell
+  is the small disk of radius dr/2.
 
-``system_weights`` is the node quadrature matched to the stencil (uniform
-h^dim on interval/square, the cell volumes on the disk).  The assembled
-system is ``K u = load`` in integrated form; see ``stlab.operator``.
+``system_weights`` is the node quadrature matched to the stiffness form
+(uniform h^dim on interval/square, the cell volumes on the disk).  The
+stiffness form K, its faces and the assembled system ``K u = load`` in
+integrated form live in ``stlab.operator``.
 """
 
 from __future__ import annotations
@@ -322,43 +311,6 @@ def build_disk(nr: int, ntheta: int | None = None) -> Domain:
         normal_spacing=np.full(ntheta, dr),
         system_weights=volumes,
     )
-
-
-def _disk_ring_coefs(nr: int, ntheta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The disk's face coefficients per ring i = 1..nr-1, each repeated
-    around the ring: the radial faces from ring i - 1 (the center for i = 1)
-    to ring i, and the angular faces within ring i."""
-    dr, dtheta = 1.0 / nr, 2.0 * np.pi / ntheta
-    ext = np.full(nr - 1, dr)  # radial extent of the cells of each ring
-    ext[-1] = 1.5 * dr
-    return (np.arange(nr - 1) + 0.5) * dr * dtheta / dr, ext / (dr * np.arange(1, nr) * dtheta)
-
-
-def stencil(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Interior faces (node pairs) of the stiffness form and their
-    coefficients, from the grid's kind and resolution alone."""
-    if domain.kind == "interval":
-        ni = domain.resolution["n"] - 1
-        return np.column_stack([np.arange(ni - 1), np.arange(1, ni)]), np.full(ni - 1, 1.0 / domain.h)
-    if domain.kind == "rectangle":
-        # uniform coefficient 1 (K = h^2 * five-point stencil); x-direction
-        # faces row by row, then y-direction faces
-        m = domain.resolution["n"] - 1
-        iid = np.arange(m * m).reshape(m, m)
-        faces = np.column_stack([
-            np.concatenate([iid[:, :-1].ravel(), iid[:-1, :].ravel()]),
-            np.concatenate([iid[:, 1:].ravel(), iid[1:, :].ravel()]),
-        ])
-        return faces, np.ones(len(faces))
-    # center to innermost ring, radial faces between rings, angular faces
-    # within each ring
-    nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
-    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
-    faces = np.column_stack([
-        np.concatenate([np.zeros(nt, dtype=int), ring[:-1].ravel(), ring.ravel()]),
-        np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()]),
-    ])
-    return faces, np.repeat(np.concatenate(_disk_ring_coefs(nr, nt)), nt)
 
 
 def build_domain(kind: str, **resolution) -> Domain:

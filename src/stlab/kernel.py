@@ -37,7 +37,7 @@ from .fields import Field
 from .measure import Measure, density_measure, load_vector, uniform_density
 from .operator import DiscreteOperator, Solver, assemble, limit_operator, walk
 from .potential import Potential, zero_potential
-from .trace import trace_matrix
+from .trace import trace_stencil
 
 DEGENERACY_FACTOR = 1e-10
 POSITIVITY_THRESHOLD = 1e-10  # fraction of the peak below which a node counts as crushed
@@ -61,9 +61,13 @@ def resolve_samples(domain: Domain, samples=None) -> np.ndarray:
 
 def trace_sources(domain: Domain, samples=None, order: int = 1) -> np.ndarray:
     """Adjoint right-hand sides: column per sampled boundary node, holding the
-    trace-extraction vector (the node's row of the trace matrix of ``order``)."""
+    trace-extraction vector (the node's ``trace_stencil`` of ``order``), one
+    contiguous column per node."""
     idx = resolve_samples(domain, samples)
-    return trace_matrix(domain, order)[idx].T.toarray()
+    sources = np.zeros((domain.n_interior, idx.size), order="F")
+    for nodes, c in trace_stencil(domain, order):
+        sources[nodes[idx], np.arange(idx.size)] += c[idx]
+    return sources
 
 
 @dataclass(frozen=True)

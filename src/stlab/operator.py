@@ -1,17 +1,17 @@
 """Assembly and solution of the Dirichlet problem -laplace(u) + V u = mu.
 
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
-difference coefficients of the grid, and the load vector holds cell integrals
-of the measure.  Solves apply ``K x + (V * system_weights) x``, with K applied
-by its stencil on the disk and the square, so the matrix K is assembled (and
-cached on the grid, read-only) only for a factor, which every solve on the
-interval makes: for an operator's ``system`` (K with that diagonal added, K
-itself for V = 0), which ``splu`` and ``energy`` read, and for Jacobi CG's
-diagonal.  On the interval and
-the square K is ``h^dim`` times the standard 3/5-point stencil matrix; on the
-disk K itself is the symmetric flux-form polar operator.  Either way K is
-symmetric positive definite, the discrete maximum principle holds, and the
-adjoint solve used by duality kernels is a plain solve with K.
+difference coefficients of the grid (``_stiffness`` states its faces), and
+the load vector holds cell integrals of the measure.  Solves apply
+``K x + (V * system_weights) x``, with K applied by its stencil on the disk
+and the square, so the matrix K is assembled (and cached on the grid,
+read-only) only for a factor, which every solve on the interval makes: for
+an operator's ``system`` (K with that diagonal added, K itself for V = 0),
+which ``splu`` and ``energy`` read, and for Jacobi CG's diagonal.  On the
+interval and the square K is ``h^dim`` times the standard 3/5-point stencil
+matrix; on the disk K itself is the symmetric flux-form polar operator.
+Either way K is symmetric positive definite, the discrete maximum principle
+holds, and the adjoint solve used by duality kernels is a plain solve with K.
 
 Every solve and every factorization goes through
 ``DiscreteOperator.solve_load``, which picks its path from its arguments
@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import Domain, _disk_ring_coefs, stencil
+from .domain import Domain
 from .fields import Field
 from .measure import Measure, is_nonnegative, load_vector, total_variation
 from .potential import Potential, PotentialError, TruncationSchedule, sample
@@ -108,19 +108,70 @@ class Solver:
             raise ValueError(f"solver max_iter is read by method cg only, not {self.method}")
 
 
+@cache
+def _disk_coefs(nr: int, ntheta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The disk's face coefficients (face length over node distance), each
+    repeated around its ring: radial ``[i]`` couples ring i to ring i + 1
+    (ring 0 the centre, the last the boundary face ``sw/ns = dtheta/dr`` of
+    the first-order trace stencil), angular ``[i]`` the neighbours within
+    ring i + 1.  Built once per resolution, read-only."""
+    dr, dtheta = 1.0 / nr, 2.0 * np.pi / ntheta
+    ext = np.full(nr - 1, dr)  # radial extent of the cells of each ring
+    ext[-1] = 1.5 * dr
+    radial = np.append((np.arange(nr - 1) + 0.5) * dr * dtheta / dr, dtheta / dr)
+    angular = ext / (dr * np.arange(1, nr) * dtheta)
+    radial.flags.writeable = angular.flags.writeable = False
+    return radial, angular
+
+
+def _faces(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """K's interior faces (node pairs) and their coefficients, from the
+    grid's kind and resolution alone."""
+    if domain.kind == "interval":
+        ni = domain.resolution["n"] - 1
+        return np.column_stack([np.arange(ni - 1), np.arange(1, ni)]), np.full(ni - 1, 1.0 / domain.h)
+    if domain.kind == "rectangle":
+        # uniform coefficient 1 (K = h^2 * five-point stencil); x-direction
+        # faces row by row, then y-direction faces
+        m = domain.resolution["n"] - 1
+        iid = np.arange(m * m).reshape(m, m)
+        faces = np.column_stack([
+            np.concatenate([iid[:, :-1].ravel(), iid[:-1, :].ravel()]),
+            np.concatenate([iid[:, 1:].ravel(), iid[1:, :].ravel()]),
+        ])
+        return faces, np.ones(len(faces))
+    # center to innermost ring, radial faces between rings, angular faces
+    # within each ring
+    nr, nt = domain.resolution["nr"], domain.resolution["ntheta"]
+    radial, angular = _disk_coefs(nr, nt)
+    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
+    faces = np.column_stack([
+        np.concatenate([np.zeros(nt, dtype=int), ring[:-1].ravel(), ring.ravel()]),
+        np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()]),
+    ])
+    return faces, np.repeat(np.concatenate([radial[:-1], angular]), nt)
+
+
 def _stiffness(domain: Domain) -> sp.csc_matrix:
     """Symmetric face-difference form of the Laplacian with Dirichlet closure,
     cached on the grid and read-only, since operators share it.  Only a
     factor needs the matrix (``DiscreteOperator.system``, and Jacobi CG's
     diagonal); solves on the disk and the square apply K by its stencil
     (``DiscreteOperator._apply``), so a grid that never factors never
-    assembles it.  Its interior
-    faces are ``stencil(domain)``'s, built here and dropped once K is
-    assembled; its boundary faces are the first-order trace stencil's, so its
-    flux is the trace's."""
+    assembles it.
+
+    Its interior faces are ``_faces(domain)``'s, built here and dropped once
+    K is assembled: the standard 3/5-point stencil with uniform coefficients
+    on the interval and the square, the exact polar flux coefficients of
+    ``_disk_coefs`` on the disk.  Its boundary faces are the first-order
+    trace stencil's, one per boundary node to its first neighbor with
+    coefficient surface weight / normal spacing, so its flux is the trace's
+    and the discrete flux balance is exact by construction; the square's
+    four corner nodes (``corner_mask``) have none.  K sums duplicate faces in
+    input order, so the face order is part of its roundoff."""
     if domain._stiffness is not None:
         return domain._stiffness
-    faces, c = stencil(domain)
+    faces, c = _faces(domain)
     p, q = faces.T
     keep = ~domain.corner_mask  # a corner of the square has no boundary face
     bi = domain.first_neighbor[keep]
@@ -256,19 +307,6 @@ def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gp
 
 
-@cache
-def _disk_coefs(nr: int, ntheta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The disk's ring coefficients, each repeated around its ring: radial
-    ``[i]`` couples ring i to ring i + 1 (ring 0 the centre, the last the
-    boundary face ``sw/ns = dtheta/dr`` of ``build_disk``'s trace stencil),
-    angular ``[i]`` the neighbours within ring i + 1 (see
-    ``_disk_ring_coefs``).  Built once per resolution, read-only."""
-    radial, angular = _disk_ring_coefs(nr, ntheta)
-    radial = np.append(radial, (2.0 * np.pi / ntheta) / (1.0 / nr))
-    radial.flags.writeable = angular.flags.writeable = False
-    return radial, angular
-
-
 def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """``K + diag(vw)`` times ``cols`` on the disk from the ring coefficients:
     the centre row couples to ring 1, ring rows to their radial and (by
@@ -298,7 +336,7 @@ def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarra
 
 
 def _square_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
-    """``K + diag(vw)`` times ``cols`` on the square: ``stencil``'s
+    """``K + diag(vw)`` times ``cols`` on the square: ``_faces``'s
     coefficient is 1 and so is every boundary face's ``sw/ns``, so each row
     is ``(4 + vw) x`` minus its interior neighbours (the corners, which have
     no face, couple to none)."""
@@ -352,7 +390,7 @@ def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _square_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """Solve on the square with ``K_0`` plus the least value of the diagonal
-    ``vw``: the 5-point operator with ``stencil``'s uniform coefficient 1 is
+    ``vw``: the 5-point operator with ``_faces``'s uniform coefficient 1 is
     diagonalized by DST-I on both axes, with eigenvalues
     ``4 - 2cos(pi j/n) - 2cos(pi k/n) + min(vw)``."""
     n = domain.resolution["n"]

@@ -1,40 +1,36 @@
 """Boundary flux extraction: one-sided normal derivatives and the flux identity.
 
 Traces use the inward normal, so nonnegative solutions have nonnegative
-traces.  The operator's boundary faces, in the matrix K that only a factor
-assembles (``operator._stiffness``) and in the stencil that every other solve
-applies (``operator.DiscreteOperator._apply``), are built from the
-first-order stencil u(a + s*n)/s itself, so the integrated flux balance (the
-Green identity with test function 1, ``flux_balance_residual``) holds to
-solver tolerance by construction; only the square's four corner nodes, which
-have no boundary face, leave a defect, of second order in h.
+traces.  The trace stencil of a boundary node reads one or two interior
+nodes along its inward normal (``trace_stencil``): ``normal_derivative``
+sums it over a field, and ``kernel.trace_sources`` scatters it into the
+adjoint sources.  The operator's boundary faces (``operator._stiffness``)
+are built from the first-order stencil u(a + s*n)/s itself, so the
+integrated flux balance (the Green identity with test function 1,
+``flux_balance_residual``) holds to solver tolerance by construction; only
+the square's four corner nodes, which have no boundary face, leave a
+defect, of second order in h.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import Domain, DomainError
 from .fields import BoundaryTrace, Field
 
 
-def trace_matrix(domain: Domain, order: int = 1) -> sp.csr_matrix:
-    """Sparse map from interior values to boundary traces (one row per boundary node)."""
-    nb, ni = domain.n_boundary, domain.n_interior
+def trace_stencil(domain: Domain, order: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The trace of ``order`` as (interior nodes, coefficients) pairs, each
+    holding one entry per boundary node: the trace is the sum over the pairs
+    of ``c * u[nodes]``."""
     s = domain.normal_spacing
     if order == 1:
-        rows = np.arange(nb)
-        cols = domain.first_neighbor
-        data = 1.0 / s
-        return sp.csr_matrix((data, (rows, cols)), shape=(nb, ni))
+        return [(domain.first_neighbor, 1.0 / s)]
     if order == 2:
         if np.any(domain.first_neighbor == domain.second_neighbor):
             raise DomainError("second-order trace stencil leaves the grid at this resolution")
-        rows = np.concatenate([np.arange(nb), np.arange(nb)])
-        cols = np.concatenate([domain.first_neighbor, domain.second_neighbor])
-        data = np.concatenate([4.0 / (2.0 * s), -1.0 / (2.0 * s)])
-        return sp.csr_matrix((data, (rows, cols)), shape=(nb, ni))
+        return [(domain.first_neighbor, 4.0 / (2.0 * s)), (domain.second_neighbor, -1.0 / (2.0 * s))]
     raise ValueError(f"trace order must be 1 or 2, got {order}")
 
 
@@ -42,7 +38,7 @@ def normal_derivative(domain: Domain, u: Field, order: int = 1) -> BoundaryTrace
     """Inward-normal derivative of a Dirichlet field at every boundary node."""
     if u.domain is not domain:
         raise ValueError("field belongs to a different domain")
-    return BoundaryTrace(domain, trace_matrix(domain, order) @ u.values)
+    return BoundaryTrace(domain, sum(c * u.values[nodes] for nodes, c in trace_stencil(domain, order)))
 
 
 def flux_balance_residual(u: Field, trace: BoundaryTrace, v_values: np.ndarray,

@@ -256,13 +256,14 @@ def test_cli_kernel_reports(tmp_path):
     assert not summary["kernels"][0]["degenerate"]
 
 
-def test_cli_verify_empty_checklist_passes(tmp_path):
-    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 16\n")
+@pytest.mark.parametrize("checks", ["", "checks =\n"], ids=["unset", "empty"])
+def test_cli_verify_empty_checklist_exits_two(tmp_path, capsys, checks):
+    # a suite that runs nothing has nothing that could fail: it is refused
+    cfg = write(tmp_path, "domain.kind = disk\ndomain.nr = 8\n" + checks)
     out = tmp_path / "v"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["checks"] == []
-    assert report["passed"] is True
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "'checks'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_verify_disk_hopf(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stlab import build_domain, build_interval, build_disk, build_rectangle
-from stlab.domain import Domain, DomainError, stencil
+from stlab.domain import Domain, DomainError
+from stlab.operator import _faces
 
 
 def test_interval_counts():
@@ -221,11 +222,11 @@ def test_domain_stores_no_per_face_array():
 
 
 def _domain_digest(domain):
-    # the stencil's arrays are hashed where they sat when Domain stored them
+    # K's face list is hashed where it sat when Domain stored it
     h = hashlib.sha256(repr((domain.kind, domain.h, domain.resolution)).encode())
     arrays = list(vars(domain).items())
     at = [name for name, _ in arrays].index("system_weights")
-    arrays[at:at] = zip(("faces", "face_coefs"), stencil(domain))
+    arrays[at:at] = zip(("faces", "face_coefs"), _faces(domain))
     for name, value in arrays:
         if isinstance(value, np.ndarray):
             h.update(f"{name}:{value.shape}:{value.dtype.str}:".encode())

@@ -22,6 +22,7 @@ from stlab import (
     zero_potential,
 )
 from stlab.fields import BoundaryTrace, Field
+from stlab.kernel import trace_sources
 from stlab.measure import total_variation
 from test_config_cli import read_csv, write
 
@@ -59,6 +60,42 @@ def test_second_order_trace(interval64):
     uf = solve_dirichlet(interval64, zero_potential(), density_measure(uniform_density(1.0)))
     t2f = normal_derivative(interval64, uf, order=2)
     np.testing.assert_allclose(t2f.values, 0.5, atol=interval64.h)
+
+
+def _loop_trace(domain, values, order):
+    """The trace of ``values`` and the adjoint sources of every boundary node,
+    built one boundary node at a time from its neighbors and spacing."""
+    trace = np.empty(domain.n_boundary)
+    sources = np.zeros((domain.n_interior, domain.n_boundary))
+    for b in range(domain.n_boundary):
+        s = float(domain.normal_spacing[b])
+        terms = [(domain.first_neighbor[b], 1.0 / s)]
+        if order == 2:
+            terms = [(domain.first_neighbor[b], 4.0 / (2.0 * s)),
+                     (domain.second_neighbor[b], -1.0 / (2.0 * s))]
+        t = 0.0
+        for node, c in terms:
+            t += c * float(values[node])
+            sources[node, b] += c
+        trace[b] = t
+    return trace, sources
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("grid", [
+    lambda: build_interval(8), lambda: build_rectangle(6), lambda: build_disk(8), lambda: build_disk(6, 5),
+], ids=["interval", "square", "disk", "disk6x5"])
+def test_trace_is_the_per_node_stencil_to_the_byte(grid, order):
+    # every boundary node, the square's corners included; values spread over
+    # 16 decades, so any other product or summation order would show
+    d = grid()
+    rng = np.random.default_rng(order)
+    values = rng.standard_normal(d.n_interior) * 10.0 ** rng.integers(-8, 9, d.n_interior)
+    trace, sources = _loop_trace(d, values, order)
+    assert normal_derivative(d, Field(d, values), order).values.tobytes() == trace.tobytes()
+    assert trace_sources(d, None, order).tobytes() == sources.tobytes()
+    idx = [d.n_boundary - 1, 0, d.n_boundary // 2]
+    assert trace_sources(d, idx, order).tobytes() == sources[:, idx].tobytes()
 
 
 def test_trace_is_linear(interval64):

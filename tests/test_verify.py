@@ -366,9 +366,8 @@ def test_certificate_builds_no_stencil_on_any_rung(monkeypatch):
     # and the last (nr = 256) only samples V: no rung assembles K or lists
     # its faces
     built = []
-    real = domain_module.stencil
-    for module in (domain_module, operator_module):
-        monkeypatch.setattr(module, "stencil", lambda d: built.append(d.resolution["nr"]) or real(d))
+    real = operator_module._faces
+    monkeypatch.setattr(operator_module, "_faces", lambda d: built.append(d.resolution["nr"]) or real(d))
     hopf_certificate(build_disk(32), power_distance_potential(1.5), refinements=2)
     assert built == []
 
