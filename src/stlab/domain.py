@@ -50,12 +50,11 @@ class Domain:
     second_neighbor: np.ndarray
     normal_spacing: np.ndarray
     system_weights: np.ndarray
-    _stiffness: object = field(default=None, init=False, repr=False)
     _operators: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # the stiffness matrix and the operator caches are built from these
-        # arrays; freezing them keeps those caches from going stale
+        # the operator caches are built from these arrays; freezing them
+        # keeps those caches from going stale
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

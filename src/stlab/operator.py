@@ -3,13 +3,14 @@
 The system is kept in integrated (flux) form ``K u = load``: K sums the face
 difference coefficients of the grid (``_stiffness`` states its faces), and
 the load vector holds cell integrals of the measure.  Solves apply
-``K x + (V * system_weights) x``, with K applied by its stencil on the disk
-and the square, so the matrix K is assembled (and cached on the grid,
-read-only) only for a factor, which every solve on the interval makes: for
-an operator's ``system`` (K with that diagonal added, K itself for V = 0),
-which ``splu`` and ``energy`` read, and for Jacobi CG's diagonal.  On the
-interval and the square K is ``h^dim`` times the standard 3/5-point stencil
-matrix; on the disk K itself is the symmetric flux-form polar operator.
+``K x + (V * system_weights) x`` by K's stencil on every grid (``_STENCILS``),
+and Jacobi CG takes its diagonal from the stencils' own (``_diagonal``), so
+no solve path reads a matrix.  The matrix K is assembled only inside an
+operator's ``system`` (K with ``V w`` added to its diagonal in place), which
+``splu`` and ``energy`` read; nothing caches K, so every operator holds its
+own.  On the interval and the square K is ``h^dim`` times the standard
+3/5-point stencil matrix; on the disk K itself is the symmetric flux-form
+polar operator.
 Either way K is symmetric positive definite, the discrete maximum principle
 holds, and the adjoint solve used by duality kernels is a plain solve with K.
 
@@ -154,11 +155,9 @@ def _faces(domain: Domain) -> tuple[np.ndarray, np.ndarray]:
 
 def _stiffness(domain: Domain) -> sp.csc_matrix:
     """Symmetric face-difference form of the Laplacian with Dirichlet closure,
-    cached on the grid and read-only, since operators share it.  Only a
-    factor needs the matrix (``DiscreteOperator.system``, and Jacobi CG's
-    diagonal); solves on the disk and the square apply K by its stencil
-    (``DiscreteOperator._apply``), so a grid that never factors never
-    assembles it.
+    assembled afresh on every call for its one reader,
+    ``DiscreteOperator.system``; nothing caches it, so no operator can see
+    another's matrix.
 
     Its interior faces are ``_faces(domain)``'s, built here and dropped once
     K is assembled: the standard 3/5-point stencil with uniform coefficients
@@ -169,8 +168,6 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
     and the discrete flux balance is exact by construction; the square's
     four corner nodes (``corner_mask``) have none.  K sums duplicate faces in
     input order, so the face order is part of its roundoff."""
-    if domain._stiffness is not None:
-        return domain._stiffness
     faces, c = _faces(domain)
     p, q = faces.T
     keep = ~domain.corner_mask  # a corner of the square has no boundary face
@@ -180,18 +177,37 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
     cols = np.concatenate([p, q, q, p, bi], dtype=np.int32)
     data = np.concatenate([c, c, -c, -c, bc])
     ni = domain.n_interior
-    K = sp.coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
-    for a in (K.data, K.indices, K.indptr):
-        a.flags.writeable = False
-    domain._stiffness = K
-    return K
+    return sp.coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
+
+
+def _diagonal(domain: Domain) -> float | np.ndarray:
+    """K's diagonal as the stencils apply it: the scalar ``2/h`` on the
+    interval and 4 on the square, and on the disk ``_disk_diagonal``'s
+    centre, then each ring's entry repeated around it.  Equal to the
+    assembled diagonal up to the order of its sums (exactly on the interval
+    and the square)."""
+    if domain.kind == "interval":
+        return 2.0 / domain.h
+    if domain.kind == "rectangle":
+        return 4.0
+    centre, rings = _disk_diagonal(domain)
+    return np.concatenate([[centre], np.repeat(rings, domain.resolution["ntheta"])])
+
+
+def _disk_diagonal(domain: Domain) -> tuple[float, np.ndarray]:
+    """The disk's K diagonal by rings, from ``_disk_coefs``: the centre's
+    ``ntheta`` radial faces, and each ring's two radial and two angular
+    faces."""
+    nt = domain.resolution["ntheta"]
+    radial, angular = _disk_coefs(domain.resolution["nr"], nt)
+    return nt * radial[0], radial[:-1] + radial[1:] + 2.0 * angular
 
 
 class DiscreteOperator:
     """Symmetric positive-definite operator for one potential sample; solves
-    apply ``K x + (V w) x`` (see ``_apply``), and ``system`` (a copy of K with
-    ``V w`` on its diagonal, K for V = 0), the only reader of the grid's
-    matrix K, is built on first read: by ``splu`` or ``energy``."""
+    apply ``K x + (V w) x`` by stencil (see ``_apply``), and ``system``, the
+    one place K is assembled, is built on first read: by ``splu`` or
+    ``energy``."""
 
     def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
@@ -206,24 +222,20 @@ class DiscreteOperator:
 
     @cached_property
     def system(self) -> sp.csc_matrix:
+        """``K + diag(V w)``: this operator's own fresh K with ``V w`` added
+        to its diagonal in place (K stores every diagonal entry, so setdiag
+        adds none)."""
         system = _stiffness(self.domain)
-        if self.v_values.any():  # K stores every diagonal entry, so setdiag adds none
-            system = system.copy()
-            system.setdiag(system.diagonal() + self.v_values * self.domain.system_weights)
+        system.setdiag(system.diagonal() + self.v_values * self.domain.system_weights)
         return system
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """``K x + (V w) x`` for one or many columns, without ``system``: on
-        the disk and the square by K's stencil, one path per grid kind, so a
-        grid that is only solved never assembles K; the interval, whose every
-        solve factors, multiplies by K."""
+        """``K x + (V w) x`` for one or many columns by K's stencil, one per
+        grid kind, never by ``system``: a grid that is only solved assembles
+        no K."""
         cols = x.reshape(x.shape[0], -1)
         vw = self.v_values * self.domain.system_weights
-        if self.domain.kind == "interval":
-            y = _stiffness(self.domain) @ cols + vw[:, None] * cols
-        else:
-            y = (_disk_stencil if self.domain.kind == "disk" else _square_stencil)(self.domain, cols, vw)
-        return y.reshape(x.shape)
+        return _STENCILS[self.domain.kind](self.domain, cols, vw).reshape(x.shape)
 
     def solve_load(self, load: np.ndarray, solver: Solver | None = None,
                    guess: np.ndarray | None = None) -> np.ndarray:
@@ -245,7 +257,7 @@ class DiscreteOperator:
             u = transform(self.domain, load.reshape(load.shape[0], -1), self.v_values).reshape(load.shape)
         elif solver.method == "cg":
             max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
-            diag = _stiffness(self.domain).diagonal() + self.v_values * self.domain.system_weights
+            diag = _diagonal(self.domain) + self.v_values * self.domain.system_weights
             u = self._cg(load, sp.diags(1.0 / diag), max_iter, solver.tol)
         elif transform is not None and guess is not None:
             vw = self.v_values * self.domain.system_weights
@@ -307,6 +319,17 @@ def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return gp
 
 
+def _interval_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
+    """``K + diag(vw)`` times ``cols`` on the interval: every face, the two
+    boundary faces included, has coefficient ``1/h``, so each row is
+    ``(2/h + vw) x`` minus ``1/h`` times its interior neighbours."""
+    c = 1.0 / domain.h
+    y = (_diagonal(domain) + vw)[:, None] * cols
+    y[1:] -= c * cols[:-1]
+    y[:-1] -= c * cols[1:]
+    return y
+
+
 def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarray:
     """``K + diag(vw)`` times ``cols`` on the disk from the ring coefficients:
     the centre row couples to ring 1, ring rows to their radial and (by
@@ -316,9 +339,10 @@ def _disk_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndarra
     radial, angular = _disk_coefs(domain.resolution["nr"], nt)
     x = cols[1:].reshape(radial.size - 1, nt, -1)
     y = np.empty_like(cols)
-    y[0] = (nt * radial[0] + vw[0]) * cols[0] - radial[0] * x[0].sum(axis=0)
+    centre, rings = _disk_diagonal(domain)
+    y[0] = (centre + vw[0]) * cols[0] - radial[0] * x[0].sum(axis=0)
     ring = y[1:].reshape(x.shape)
-    diag = (radial[:-1] + radial[1:] + 2.0 * angular)[:, None] + vw[1:].reshape(x.shape[:2])
+    diag = rings[:, None] + vw[1:].reshape(x.shape[:2])
     np.multiply(diag[:, :, None], x, out=ring)
     ring[0] -= radial[0] * cols[0]
     inner = radial[1:-1, None, None]
@@ -342,7 +366,7 @@ def _square_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndar
     no face, couple to none)."""
     m = domain.resolution["n"] - 1
     x = cols.reshape(m, m, -1)
-    y = (4.0 + vw).reshape(m, m, 1) * x
+    y = (_diagonal(domain) + vw).reshape(m, m, 1) * x
     y[:, 1:] -= x[:, :-1]
     y[:, :-1] -= x[:, 1:]
     y[1:] -= x[:-1]
@@ -400,6 +424,7 @@ def _square_transform(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.nd
     return _dst1(_dst1(f, 0), 1).reshape(cols.shape)
 
 
+_STENCILS = {"interval": _interval_stencil, "disk": _disk_stencil, "rectangle": _square_stencil}
 _TRANSFORMS = {"disk": _disk_transform, "rectangle": _square_transform}
 
 

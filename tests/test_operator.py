@@ -1,5 +1,6 @@
 """Discrete Schrodinger operator: assembly, solves, schedule limits, energy."""
 
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from stlab.operator import (
     DEFAULT_TOL,
     DiscreteOperator,
     SolverError,
+    _diagonal,
     _disk_coefs,
     _stiffness,
     cached_operators,
@@ -82,8 +84,8 @@ SYSTEM_SAMPLES = {
 @pytest.mark.parametrize("v", list(SYSTEM_SAMPLES))
 @pytest.mark.parametrize("grid", list(SYSTEM_GRIDS))
 def test_system_is_k_plus_vw_bit_for_bit(grid, v):
-    # the system shares the grid's cached K and adds V w on its diagonal in
-    # place; it must equal the sparse sum to the byte, so no solve moves
+    # the system assembles its own K and adds V w on its diagonal in place;
+    # it must equal the sparse sum to the byte, so no solve moves
     d = SYSTEM_GRIDS[grid]()
     vv = SYSTEM_SAMPLES[v](d)
     K = _stiffness(d)
@@ -92,12 +94,30 @@ def test_system_is_k_plus_vw_bit_for_bit(grid, v):
     for name in ("indptr", "indices", "data"):
         got, want = getattr(system, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert (system is K) == (v == "zero")
-    with pytest.raises(ValueError):
-        K.data[0] = 1.0
+
+
+@pytest.mark.parametrize("v", ["zero", "random"])
+@pytest.mark.parametrize("grid", list(SYSTEM_GRIDS))
+def test_operators_on_one_grid_hold_distinct_systems(grid, v):
+    # nothing caches K on the grid: two operators hold distinct matrices,
+    # and a write to one operator's system cannot reach a later operator's
+    d = SYSTEM_GRIDS[grid]()
+    vv = SYSTEM_SAMPLES[v](d)
+    first, second = DiscreteOperator(d, vv).system, DiscreteOperator(d, vv).system
+    assert first is not second
+    for name in ("indptr", "indices", "data"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+    want = {name: getattr(second, name).tobytes() for name in ("indptr", "indices", "data")}
+    first.data[:] = 1.0
+    first.indices[:] = 0
+    later = DiscreteOperator(d, vv).system
+    assert {name: getattr(later, name).tobytes() for name in want} == want
 
 
 STENCIL_GRIDS = {
+    "interval4": lambda: build_interval(4),
+    "interval17": lambda: build_interval(17),
+    "interval64": lambda: build_interval(64),
     "rect4": lambda: build_rectangle(4),
     "rect16": lambda: build_rectangle(16),
     "rect64": lambda: build_rectangle(64),
@@ -112,19 +132,39 @@ STENCIL_GRIDS = {
 @pytest.mark.parametrize("columns", [None, 7])
 @pytest.mark.parametrize("grid", list(STENCIL_GRIDS))
 def test_stencil_apply_matches_k(grid, columns, v):
-    # solves on the disk and the square apply K + diag(V w) by K's stencil,
-    # never by the matrix; it is the same operator up to the order of the sums
+    # solves apply K + diag(V w) by K's stencil on every grid, never by the
+    # matrix; it is the same operator up to the order of the sums
     d = STENCIL_GRIDS[grid]()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(d.n_interior if columns is None else (d.n_interior, columns))
     vv = SYSTEM_SAMPLES[v](d)
     got = DiscreteOperator(d, vv)._apply(x)
-    assert d._stiffness is None
     vw = vv * d.system_weights
     want = _stiffness(d) @ x + (vw if columns is None else vw[:, None]) * x
     assert got.shape == want.shape
     err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert np.all(err <= 1e-15), err
+
+
+@pytest.mark.parametrize("v", ["zero", "random"])
+@pytest.mark.parametrize("grid", list(STENCIL_GRIDS))
+def test_jacobi_diagonal_is_the_systems(grid, v):
+    # Jacobi CG takes the stencils' diagonal, not the assembled matrix's;
+    # the two agree up to the order of K's duplicate-face sums.  The disk's
+    # centre sums ntheta equal faces: the stencil's product is that sum
+    # correctly rounded, K's running sum is off by up to ntheta ulps
+    d = STENCIL_GRIDS[grid]()
+    vv = SYSTEM_SAMPLES[v](d)
+    got = _diagonal(d) + vv * d.system_weights
+    want = DiscreteOperator(d, vv).system.diagonal()
+    rows = slice(None)
+    if d.kind == "disk":
+        nt = d.resolution["ntheta"]
+        centre = math.fsum([_disk_coefs(d.resolution["nr"], nt)[0][0]] * nt)
+        assert _diagonal(d)[0] == centre
+        assert abs(got[0] - want[0]) <= nt * np.finfo(float).eps * want[0]
+        rows = slice(1, None)
+    assert np.all(np.abs(got - want)[rows] <= 1e-15 * np.abs(want)[rows])
 
 
 @pytest.mark.parametrize("grid", [g for g in STENCIL_GRIDS if g.startswith("disk")])

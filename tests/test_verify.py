@@ -373,37 +373,54 @@ def test_certificate_builds_no_stencil_on_any_rung(monkeypatch):
 
 
 def test_verify_assembles_k_only_on_grids_that_factor(tmp_path, monkeypatch):
-    # K is read by splu alone in a verify run: on the golden disk config at
-    # nr = 32 only the base grid's limit operator factors, so only that grid
-    # assembles K; the certificate on its own (which reads no measure)
-    # factors nothing and builds no K
+    # K is assembled by DiscreteOperator.system alone, afresh on every read,
+    # and only splu reads it in a run: one assembly per factorization on the
+    # golden verify config at nr = 32 (the base grid's limit operator) and on
+    # the golden solve config; the certificate on its own (which reads no
+    # measure) and every run under solver.method = cg assemble nothing
     assembled, factored = [], []
     real_stiffness, real_splu = operator_module._stiffness, spla.splu
 
     def stiffness(d):
-        if d._stiffness is None:
-            assembled.append((d.resolution["nr"], d.n_interior))
+        assembled.append((d.kind, d.n_interior))
         return real_stiffness(d)
 
     def splu(A, *args, **kwargs):
         factored.append(A.shape[0])
         return real_splu(A, *args, **kwargs)
 
+    def run(command, text, name):
+        assembled.clear()
+        factored.clear()
+        out = str(tmp_path / name)
+        assert main([command, "--config", write(tmp_path, text, name + ".cfg"), "--out", out]) == 0
+
     monkeypatch.setattr(operator_module, "_stiffness", stiffness)
     monkeypatch.setattr(spla, "splu", splu)
+    golden = {}
+    for name in ("verify_disk", "solve_square"):
+        with open(os.path.join(os.path.dirname(__file__), "data", "golden", name + ".cfg")) as fh:
+            golden[name] = fh.read()
     monkeypatch.setenv("STL_DOMAIN_NR", "32")
-    with open(os.path.join(os.path.dirname(__file__), "data", "golden", "verify_disk.cfg")) as fh:
-        golden = fh.read()
-    assert main(["verify", "--config", write(tmp_path, golden), "--out", str(tmp_path / "all")]) == 0
-    assert [nr for nr, _ in assembled] == [32]
-    assert {n for _, n in assembled} == set(factored)
-    assembled.clear()
-    factored.clear()
-    certificate = "".join(line for line in golden.splitlines(keepends=True)
+    run("verify", golden["verify_disk"], "verify")
+    n = build_disk(32).n_interior
+    assert assembled == [("disk", n)] and factored == [n]
+    certificate = "".join(line for line in golden["verify_disk"].splitlines(keepends=True)
                           if not line.startswith(("measure.", "checks ")))
-    certificate = write(tmp_path, certificate + "checks = hopf_certificate\n", "certificate.cfg")
-    assert main(["verify", "--config", certificate, "--out", str(tmp_path / "certificate")]) == 0
+    run("verify", certificate + "checks = hopf_certificate\n", "certificate")
     assert assembled == [] and factored == []
+    monkeypatch.delenv("STL_DOMAIN_NR")
+    run("solve", golden["solve_square"], "solve")
+    n = build_rectangle(16).n_interior
+    assert assembled == [("rectangle", n)] and factored == [n]
+    monkeypatch.setenv("STL_SOLVER_METHOD", "cg")
+    interval = ("domain.kind = interval\ndomain.n = 32\npotential.family = power_distance\n"
+                "potential.alpha = 1.5\nmeasure.atom = 0.3,0.75\n"
+                "checks = representation,inequalities,hopf,hopf_certificate,comparison\n")
+    for command, text, name in (("solve", golden["solve_square"], "solve_cg"),
+                                ("verify", interval, "interval_cg")):
+        run(command, text, name)
+        assert assembled == [] and factored == [], name
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
