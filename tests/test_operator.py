@@ -320,6 +320,48 @@ def test_zero_potential_transform_matches_lu(kind, data, columns, seed):
     np.testing.assert_allclose(u, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
 
+def _factored(d) -> DiscreteOperator:
+    """An operator of the truncated ``d^-1.5`` on ``d``, factored by one solve."""
+    op = DiscreteOperator(d, np.minimum(sample(power_distance_potential(1.5), d), 64.0))
+    op.solve_load(np.ones(d.n_interior))
+    return op
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_square_factor_takes_a_symmetric_ordering(n):
+    # the square's SPD system is factored in a minimum-degree ordering on
+    # A^T + A, which needs about half the fill of SuperLU's default COLAMD
+    op = _factored(build_rectangle(n))
+    colamd = spla.splu(op.system)
+    assert op._lu.L.nnz + op._lu.U.nnz <= 0.6 * (colamd.L.nnz + colamd.U.nnz)
+
+
+@pytest.mark.parametrize("build", [lambda: build_disk(32), lambda: build_interval(64)],
+                         ids=["disk32", "interval64"])
+def test_disk_and_interval_factors_keep_the_default_ordering(build):
+    # the disk's and the interval's factors are SuperLU's default ones to the
+    # byte, so their outputs do not move
+    op = _factored(build())
+    default = spla.splu(op.system)
+    for factor in ("L", "U"):
+        got, want = getattr(op._lu, factor), getattr(default, factor)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (factor, name)
+    assert op._lu.perm_c.tobytes() == default.perm_c.tobytes()
+    assert op._lu.perm_r.tobytes() == default.perm_r.tobytes()
+
+
+def test_square_solution_matches_the_default_ordering():
+    d = build_rectangle(64)
+    op = _factored(d)
+    load = np.random.default_rng(0).standard_normal((d.n_interior, 3))
+    tol = Solver().tol
+    u = op.solve_load(load)
+    op._check_residual(u, load, tol)
+    ref = spla.splu(op.system).solve(load)
+    np.testing.assert_allclose(u, ref, rtol=0.0, atol=100.0 * tol * np.abs(ref).max())
+
+
 def _spy_cg(monkeypatch) -> list:
     """The positional arguments of every later ``spla.cg`` call."""
     calls = []
