@@ -172,7 +172,8 @@ KEYS = {key.name: key for key in (
     Key("schedule.base", "float", (1.0, np.inf), 2.0),
     Key("solver.tol", "float", (0.0, np.inf), 1e-10),
     Key("solver.method", "choice", METHODS, "auto"),
-    Key("solver.max_iter", "int", (1, np.inf)),
+    # hopf_certificate solves zero-potential systems only, by transforms
+    Key("solver.max_iter", "int", (1, np.inf), readers=_MEASURE + ("kernel", "comparison")),
     Key("trace.order", "int", (1, 2), 1, readers=_TRACE),
     Key("checks", "choices", ("representation", "inequalities", "hopf", "hopf_certificate",
                               "comparison", "energy"), ()),
@@ -355,10 +356,10 @@ def config_from_pairs(pairs: list[tuple[str, str]], command: str | None = None) 
                 f"config key 'measure.atom': expected {dim} coordinate(s) plus a weight, got {atom}"
             )
 
-    # only conjugate gradients reads an iteration cap
-    if values["solver.method"] != "cg" and "solver.max_iter" in texts:
-        raise ConfigError(f"config key 'solver.max_iter': solver.method = "
-                          f"{values['solver.method']} takes no iteration cap")
+    # only transform-PCG reads an iteration cap: the interval's cg solve is direct
+    if "solver.max_iter" in texts and (values["solver.method"] != "cg" or kind == "interval"):
+        raise ConfigError(f"config key 'solver.max_iter': read by solver.method = cg on the disk "
+                          f"and the square only, not {values['solver.method']} on the {kind}")
 
     # levels() computes base**j up to j = J, which must not overflow a float
     try:

@@ -4,37 +4,37 @@ The system is kept in integrated (flux) form ``K u = load``: K sums the face
 difference coefficients of the grid (``_stiffness`` states its faces), and
 the load vector holds cell integrals of the measure.  Solves apply
 ``K x + (V * system_weights) x`` by K's stencil on every grid (``_STENCILS``),
-and Jacobi CG takes its diagonal from the stencils' own (``_diagonal``), so
-no solve path reads a matrix.  The matrix K is assembled only inside an
+so no solve path reads a matrix.  The matrix K is assembled only inside an
 operator's ``system`` (K with ``V w`` added to its diagonal in place), which
-``splu`` and ``energy`` read; nothing caches K, so every operator holds its
-own.  On the interval and the square K is ``h^dim`` times the standard
-3/5-point stencil matrix; on the disk K itself is the symmetric flux-form
-polar operator.
+``splu`` alone reads; nothing caches K, so every operator holds its own.  On
+the interval and the square K is ``h^dim`` times the standard 3/5-point
+stencil matrix; on the disk K itself is the symmetric flux-form polar
+operator.
 Either way K is symmetric positive definite, the discrete maximum principle
 holds, and the adjoint solve used by duality kernels is a plain solve with K.
 
 Every solve and every factorization goes through
 ``DiscreteOperator.solve_load``, which picks its path from its arguments
-alone, at every grid size.  A zero-potential system on the disk or the
-square is solved by fast transforms under every method and with no factor:
-the disk's operator is block-circulant in theta (an rfft leaves one
-tridiagonal system in r per mode), and the square's is diagonalized by
-DST-I on both axes.  Method "auto" solves any other system by
-transform-PCG when it is given a start on the disk or the square, else by
-the operator's cached sparse LU factor (one factorization serves every
-right-hand side, which kernel sets rely on); method "cg" runs conjugate
-gradients with a Jacobi preconditioner instead.  The factor's column ordering
-follows the grid kind (``_ORDERINGS``).  The square takes SuperLU's minimum
-degree on ``A^T + A`` (``MMD_AT_PLUS_A``, fit for its symmetric system), with
-about half the fill of the default COLAMD: 3.38M against 6.74M entries of
-``L + U`` at n = 256.  The interval keeps COLAMD, whose fill on a tridiagonal
-system is the same.  The disk keeps COLAMD too, although minimum degree
-would cut its fill by about 60 %: the benchmark reference
-(``perfbench/gate.py``) scales the representation check's roundoff
-``residual`` column by its own size, so any reordering of the disk's factor
-fails it.  A ``Solver`` value carries the settings of every solve of a run:
-tolerance, method, iteration cap (CG only) and truncation schedule.
+alone, at every grid size.  A zero-potential system on the disk or the square
+is solved by fast transforms under every method and with no factor: the
+disk's operator is block-circulant in theta (an rfft leaves one tridiagonal
+system in r per mode), and the square's is diagonalized by DST-I on both
+axes.  Method "auto" solves any other system by transform-PCG
+(``DiscreteOperator._cg``) when it is given a start on the disk or the
+square, else by the operator's cached sparse LU factor (one factorization
+serves every right-hand side, which kernel sets rely on); method "cg" takes
+transform-PCG there from any start and solves the interval's tridiagonal
+system directly, so it never factors.  The factor's column ordering follows
+the grid kind (``_ORDERINGS``).  The square takes SuperLU's minimum degree on
+``A^T + A`` (``MMD_AT_PLUS_A``, fit for its symmetric system), with about
+half the fill of the default COLAMD: 3.38M against 6.74M entries of ``L + U``
+at n = 256.  The interval keeps COLAMD, whose fill on a tridiagonal system is
+the same.  The disk keeps COLAMD too, although minimum degree would cut its
+fill by about 60 %: the benchmark reference (``perfbench/gate.py``) scales
+the representation check's roundoff ``residual`` column by its own size, so
+any reordering of the disk's factor fails it.  A ``Solver`` value carries the
+settings of every solve of a run: tolerance, method, iteration cap (method
+"cg" only) and truncation schedule.
 
 The discrete limit of a potential is one solve on the operator of
 ``limit_operator``, which states the level rule.  The schedule is walked only
@@ -60,10 +60,10 @@ on square n = 128, 256 5-9 for ``d^-1.5`` and up to 36 for ``d^-3`` (beyond
 Hardy); a cold ``d^-3`` solve on the square takes up to 51.  ``PCG_BUDGET``
 lies above that, and only a level that misses it reads (or makes) its
 operator's factor, so a factor left by another check never changes a
-level's solution.  A first level given no guess (``stlab solve``'s) is
-factored, and so is every level on the interval, which has no transform;
-outside an operator cache the walk drops the factor of each level it
-leaves.  The inequality suite and ``hopf_check`` start every walk from
+level's solution.  Under "auto" a first level given no guess (``stlab
+solve``'s) is factored, and so is every level on the interval, which has no
+transform; outside an operator cache the walk drops the factor of each
+level it leaves.  The inequality suite and ``hopf_check`` start every walk from
 zero, so ``stlab verify`` factors limit operators only.
 Every path enforces the relative-residual postcondition.
 """
@@ -71,7 +71,7 @@ Every path enforces the relative-residual postcondition.
 from __future__ import annotations
 
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -96,9 +96,9 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class Solver:
     """How a run solves: the relative-residual tolerance, the method ("auto"
-    or "cg", see ``DiscreteOperator.solve_load``), the iteration cap of
-    method "cg" (None: 10 times the unknowns; "auto" takes none) and the
-    truncation schedule that unbounded potentials walk."""
+    or "cg", see ``DiscreteOperator.solve_load``), the transform-PCG
+    iteration cap of method "cg" (None: 10 times the unknowns; "auto" takes
+    none) and the truncation schedule that unbounded potentials walk."""
 
     tol: float = DEFAULT_TOL
     method: str = "auto"
@@ -188,20 +188,6 @@ def _stiffness(domain: Domain) -> sp.csc_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(ni, ni)).tocsc()
 
 
-def _diagonal(domain: Domain) -> float | np.ndarray:
-    """K's diagonal as the stencils apply it: the scalar ``2/h`` on the
-    interval and 4 on the square, and on the disk ``_disk_diagonal``'s
-    centre, then each ring's entry repeated around it.  Equal to the
-    assembled diagonal up to the order of its sums (exactly on the interval
-    and the square)."""
-    if domain.kind == "interval":
-        return 2.0 / domain.h
-    if domain.kind == "rectangle":
-        return 4.0
-    centre, rings = _disk_diagonal(domain)
-    return np.concatenate([[centre], np.repeat(rings, domain.resolution["ntheta"])])
-
-
 def _disk_diagonal(domain: Domain) -> tuple[float, np.ndarray]:
     """The disk's K diagonal by rings, from ``_disk_coefs``: the centre's
     ``ntheta`` radial faces, and each ring's two radial and two angular
@@ -214,8 +200,7 @@ def _disk_diagonal(domain: Domain) -> tuple[float, np.ndarray]:
 class DiscreteOperator:
     """Symmetric positive-definite operator for one potential sample; solves
     apply ``K x + (V w) x`` by stencil (see ``_apply``), and ``system``, the
-    one place K is assembled, is built on first read: by ``splu`` or
-    ``energy``."""
+    one place K is assembled, is built on first read, by ``splu``."""
 
     def __init__(self, domain: Domain, v_values: np.ndarray):
         v_values = np.asarray(v_values, dtype=float)
@@ -250,62 +235,75 @@ class DiscreteOperator:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
         A zero potential on the disk or the square is solved by transforms
-        (``_TRANSFORMS``), whatever the method.  Otherwise method "cg" runs
-        Jacobi CG.  Under "auto" a ``guess`` on the disk or the square starts
-        CG preconditioned with the transform given this operator's diagonal
-        ``V w``, stopped at 1e-2 * solver.tol; any other load, and one that
-        misses PCG_BUDGET iterations, is solved by this operator's LU factor,
-        made on first use in the grid kind's column ordering: minimum degree
-        on ``A^T + A`` on the square, COLAMD on the disk (whose outputs the
-        benchmark reference pins) and the interval (see the module docstring).
+        (``_TRANSFORMS``).  Otherwise method "cg" runs ``_cg`` there from
+        ``guess`` (default zero) up to solver.max_iter iterations and solves
+        the interval directly by ``_thomas``; "auto" runs ``_cg`` from a
+        ``guess`` up to PCG_BUDGET.  ``_cg`` is preconditioned with the
+        transform given this operator's diagonal ``V w`` and stops at
+        1e-2 * solver.tol.  Any other load, and an "auto" one that misses
+        PCG_BUDGET, takes this operator's LU factor, made on first use in the
+        grid kind's column ordering (``_ORDERINGS``, see the module docstring).
         """
         solver = solver or Solver()
         load = np.asarray(load, dtype=float)
-        u = None
+        cols = load.reshape(load.shape[0], -1)
         transform = _TRANSFORMS.get(self.domain.kind)
+        u = None
         if transform is not None and not self.v_values.any():  # V w = v_values = 0
-            u = transform(self.domain, load.reshape(load.shape[0], -1), self.v_values).reshape(load.shape)
-        elif solver.method == "cg":
-            max_iter = 10 * self.domain.n_interior if solver.max_iter is None else solver.max_iter
-            diag = _diagonal(self.domain) + self.v_values * self.domain.system_weights
-            u = self._cg(load, sp.diags(1.0 / diag), max_iter, solver.tol)
-        elif transform is not None and guess is not None:
+            u = transform(self.domain, cols, self.v_values)
+        elif transform is None and solver.method == "cg":
+            diag = (2.0 / self.domain.h + self.v_values * self.domain.system_weights)[:, None]
+            u = _thomas(diag, np.full_like(diag[1:], -1.0 / self.domain.h), cols[:, None])[:, 0]
+        elif transform is not None and (solver.method == "cg" or guess is not None):
             vw = self.v_values * self.domain.system_weights
-            precond = spla.LinearOperator(
-                (load.shape[0],) * 2, dtype=float,
-                matvec=lambda r: transform(self.domain, r.reshape(-1, 1), vw).ravel())
-            with suppress(SolverError):  # PCG missed the budget: factor below
-                u = self._cg(load, precond, PCG_BUDGET, 1e-2 * solver.tol, guess)
+            cap = PCG_BUDGET if solver.method == "auto" else solver.max_iter or 10 * cols.shape[0]
+            try:
+                u = self._cg(cols, lambda r: transform(self.domain, r.reshape(-1, 1), vw).ravel(),
+                             cap, 1e-2 * solver.tol, guess)
+            except SolverError:
+                if solver.method == "cg":
+                    raise  # under "auto" PCG missed the budget: factor below
         if u is None:
             if self._lu is None:
                 self._lu = spla.splu(self.system, permc_spec=_ORDERINGS[self.domain.kind])
             u = self._lu.solve(load)
+        u = u.reshape(load.shape)
         self._check_residual(u, load, solver.tol)
         return u
 
-    def _cg(self, load: np.ndarray, precond, max_iter: int, rtol: float,
-            guess: np.ndarray | None = None) -> np.ndarray:
-        """Preconditioned CG column by column, from ``guess`` (default zero);
-        raises SolverError when a column misses ``max_iter`` iterations."""
-        cols = load.reshape(load.shape[0], -1)
+    def _cg(self, cols: np.ndarray, precond: Callable[[np.ndarray], np.ndarray], max_iter: int,
+            rtol: float, guess: np.ndarray | None = None) -> np.ndarray:
+        """Preconditioned CG column by column from ``guess`` (default zero),
+        scipy's ``cg`` operation for operation: a column stops once
+        ``norm(r) < rtol * norm(b)``, and raises SolverError after ``max_iter``."""
         starts = np.zeros_like(cols) if guess is None else guess.reshape(cols.shape)
-        out = np.empty_like(cols)
-        system = spla.LinearOperator((cols.shape[0],) * 2, matvec=self._apply, dtype=float)
-        for j in range(cols.shape[1]):
-            x, info = spla.cg(system, cols[:, j], x0=starts[:, j], rtol=rtol, atol=0.0,
-                              maxiter=max_iter, M=precond)
-            if info != 0:
-                r = np.linalg.norm(self._apply(x) - cols[:, j]) / max(np.linalg.norm(cols[:, j]), 1e-300)
-                raise SolverError(
-                    f"conjugate gradients did not converge in {max_iter} iterations "
-                    f"(relative residual {r:.3e})"
-                )
+        out = cols.copy()  # a zero column is its own solution
+        for j in np.flatnonzero(cols.any(axis=0)):
+            b, x, rho = cols[:, j], starts[:, j].copy(), None
+            atol = rtol * np.linalg.norm(b)
+            r = b - self._apply(x) if x.any() else b.copy()
+            for k in range(max_iter):
+                if np.linalg.norm(r) < atol:
+                    break
+                z = precond(r)
+                rho, rho_prev = np.dot(r, z), rho
+                if k:
+                    p *= rho / rho_prev
+                    p += z
+                else:
+                    p = z
+                q = self._apply(p)
+                alpha = rho / np.dot(p, q)
+                x += alpha * p
+                r -= alpha * q
+            else:
+                raise SolverError(f"conjugate gradients did not converge in {max_iter} iterations "
+                                  f"(relative residual {np.linalg.norm(r) / np.linalg.norm(b):.3e})")
             out[:, j] = x
-        return out.reshape(load.shape)
+        return out
 
     def _check_residual(self, u: np.ndarray, load: np.ndarray, tol: float) -> None:
-        res = self._apply(u) - load
-        num = np.linalg.norm(res, axis=0)
+        num = np.linalg.norm(self._apply(u) - load, axis=0)
         den = np.maximum(np.linalg.norm(load, axis=0), 1e-300)
         worst = float(np.max(num / den)) if num.size else 0.0
         if not np.all(np.isfinite(u)) or worst > 100.0 * tol:
@@ -334,7 +332,7 @@ def _interval_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.nd
     boundary faces included, has coefficient ``1/h``, so each row is
     ``(2/h + vw) x`` minus ``1/h`` times its interior neighbours."""
     c = 1.0 / domain.h
-    y = (_diagonal(domain) + vw)[:, None] * cols
+    y = (2.0 / domain.h + vw)[:, None] * cols
     y[1:] -= c * cols[:-1]
     y[:-1] -= c * cols[1:]
     return y
@@ -376,7 +374,7 @@ def _square_stencil(domain: Domain, cols: np.ndarray, vw: np.ndarray) -> np.ndar
     no face, couple to none)."""
     m = domain.resolution["n"] - 1
     x = cols.reshape(m, m, -1)
-    y = (_diagonal(domain) + vw).reshape(m, m, 1) * x
+    y = (4.0 + vw).reshape(m, m, 1) * x
     y[:, 1:] -= x[:, :-1]
     y[:, :-1] -= x[:, 1:]
     y[1:] -= x[:-1]
@@ -625,7 +623,7 @@ def _density_load(domain: Domain, source: Measure) -> np.ndarray:
 
 
 def _quadratic_energy(op: DiscreteOperator, load: np.ndarray, z: np.ndarray) -> float:
-    return float(0.5 * z @ (op.system @ z) - load @ z)
+    return float(0.5 * z @ op._apply(z) - load @ z)
 
 
 def energy(domain: Domain, potential: Potential, source: Measure, z) -> float:

@@ -377,7 +377,8 @@ def test_verify_assembles_k_only_on_grids_that_factor(tmp_path, monkeypatch):
     # and only splu reads it in a run: one assembly per factorization on the
     # golden verify config at nr = 32 (the base grid's limit operator) and on
     # the golden solve config; the certificate on its own (which reads no
-    # measure) and every run under solver.method = cg assemble nothing
+    # measure) and every run under solver.method = cg, energy's included,
+    # assemble nothing
     assembled, factored = [], []
     real_stiffness, real_splu = operator_module._stiffness, spla.splu
 
@@ -417,8 +418,12 @@ def test_verify_assembles_k_only_on_grids_that_factor(tmp_path, monkeypatch):
     interval = ("domain.kind = interval\ndomain.n = 32\npotential.family = power_distance\n"
                 "potential.alpha = 1.5\nmeasure.atom = 0.3,0.75\n"
                 "checks = representation,inequalities,hopf,hopf_certificate,comparison\n")
+    # the energy check applies K by its stencil too
+    energy = "potential.family = constant\npotential.value = 2\nmeasure.density = uniform\nchecks = energy\n"
     for command, text, name in (("solve", golden["solve_square"], "solve_cg"),
-                                ("verify", interval, "interval_cg")):
+                                ("verify", interval, "interval_cg"),
+                                ("verify", "domain.kind = interval\ndomain.n = 32\n" + energy, "energy_interval_cg"),
+                                ("verify", "domain.kind = disk\ndomain.nr = 8\n" + energy, "energy_disk_cg")):
         run(command, text, name)
         assert assembled == [] and factored == [], name
 
