@@ -207,12 +207,11 @@ def parse_config_text(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def env_overrides(environ=None) -> list[tuple[str, str]]:
+def env_overrides() -> list[tuple[str, str]]:
     """Overrides from STL_-prefixed environment variables, matched to known keys."""
-    environ = os.environ if environ is None else environ
     by_env_name = {ENV_PREFIX + k.replace(".", "_").upper(): k for k in KEYS}
     out = []
-    for name, value in sorted(environ.items()):
+    for name, value in sorted(os.environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
         key = by_env_name.get(name)
@@ -379,12 +378,12 @@ def config_from_pairs(pairs: list[tuple[str, str]], command: str | None = None) 
     return RunConfig(values, tuple(atoms))
 
 
-def load_config(path: str, command: str | None = None, environ=None) -> RunConfig:
+def load_config(path: str, command: str | None = None) -> RunConfig:
     """Read a config file, apply environment overrides and validate it for
     ``command`` (see ``config_from_pairs``)."""
     with open(path, "r", encoding="utf-8") as fh:
         pairs = parse_config_text(fh.read())
-    overrides = env_overrides(environ)
+    overrides = env_overrides()
     override_keys = {k for k, _ in overrides}
     if "measure.atom" in override_keys:
         pairs = [(k, v) for k, v in pairs if k != "measure.atom"]

@@ -104,12 +104,11 @@ class KernelSet:
 
 
 def _adjoint_solve(domain: Domain, potential: Potential, idx: np.ndarray, order: int,
-                   solver: Solver | None) -> tuple[np.ndarray, DiscreteOperator, float]:
+                   solver: Solver) -> tuple[np.ndarray, DiscreteOperator, float]:
     """Kernels of the boundary nodes ``idx`` for the trace of ``order``, the
     operator that produced them and its level L: one solve on the operator
     of ``limit_operator``, memoized on that operator.
     """
-    solver = solver or Solver()
     op, level = limit_operator(domain, potential, solver)
     key = (tuple(idx.tolist()), order, solver)
     if key not in op._kernels:
@@ -123,7 +122,7 @@ def kernel_set(
     domain: Domain,
     potential: Potential,
     samples=None,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     with_reference: bool = True,
     order: int = 1,
 ) -> KernelSet:
@@ -146,7 +145,7 @@ def duality_kernel(
     domain: Domain,
     potential: Potential,
     a: int,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     order: int = 1,
 ) -> Field:
     """Kernel of one boundary node; the discrete limit, one solve, when the
@@ -159,7 +158,7 @@ def truncation_kernels(
     domain: Domain,
     potential: Potential,
     a: int,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     stop_early: bool = True,
 ) -> list[Field]:
     """Kernels of node a along the truncation schedule, nodewise non-increasing;
@@ -180,7 +179,7 @@ def truncation_kernels(
 
 
 def positivity_set(domain: Domain, potential: Potential,
-                   solver: Solver | None = None) -> np.ndarray:
+                   solver: Solver = Solver()) -> np.ndarray:
     """Mask of nodes where the unit-density discrete limit (one solve, see
     ``limit_operator``) stays positive.
 

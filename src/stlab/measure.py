@@ -97,9 +97,6 @@ class Measure:
             dens = Density("sum", {"parts": (self.density, other.density)}, both, "sum")
         return Measure(self.atoms + other.atoms, dens)
 
-    def is_zero(self) -> bool:
-        return not self.atoms and self.density is None
-
 
 def dirac(location, weight: float = 1.0) -> Measure:
     return Measure(atoms=((tuple(np.atleast_1d(np.asarray(location, dtype=float))), float(weight)),))

@@ -230,7 +230,7 @@ class DiscreteOperator:
         vw = self.v_values * self.domain.system_weights
         return _STENCILS[self.domain.kind](self.domain, cols, vw).reshape(x.shape)
 
-    def solve_load(self, load: np.ndarray, solver: Solver | None = None,
+    def solve_load(self, load: np.ndarray, solver: Solver = Solver(),
                    guess: np.ndarray | None = None) -> np.ndarray:
         """Solve K u = load for one or many (columns) integrated right-hand sides.
 
@@ -244,7 +244,6 @@ class DiscreteOperator:
         PCG_BUDGET, takes this operator's LU factor, made on first use in the
         grid kind's column ordering (``_ORDERINGS``, see the module docstring).
         """
-        solver = solver or Solver()
         load = np.asarray(load, dtype=float)
         cols = load.reshape(load.shape[0], -1)
         transform = _TRANSFORMS.get(self.domain.kind)
@@ -453,7 +452,8 @@ def _operator_for(domain: Domain, v_values: np.ndarray) -> DiscreteOperator:
 @contextmanager
 def cached_operators(domain: Domain):
     """Share operators and their LU factors, keyed by the exact potential
-    sample, among all solves on ``domain`` inside the block; dropped on exit.
+    sample, among all solves on ``domain`` inside the block; dropped on exit
+    from the outermost block (an inner block on the same grid joins it).
     A walk keeps the factor of a level it could not solve by PCG (no start,
     or past ``PCG_BUDGET``), and a solve given no start factors an operator
     that a walk solved by PCG; a started level takes PCG even so.
@@ -465,11 +465,13 @@ def cached_operators(domain: Domain):
     Only a grid that several computations solve on gains: on a grid built
     for one schedule walk the cache would hold factors nobody reuses.
     """
-    domain._operators = {}
+    outer = domain._operators
+    if outer is None:
+        domain._operators = {}
     try:
         yield
     finally:
-        domain._operators = None
+        domain._operators = outer
 
 
 def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
@@ -486,7 +488,7 @@ def assemble(domain: Domain, potential: Potential) -> DiscreteOperator:
 
 
 def limit_operator(domain: Domain, potential: Potential,
-                   solver: Solver | None = None) -> tuple[DiscreteOperator, float]:
+                   solver: Solver = Solver()) -> tuple[DiscreteOperator, float]:
     """Operator of the discrete limit of the truncation schedule, and its level L.
 
     The grid samples V finitely, so min(V_h, k) = V_h from the first
@@ -499,7 +501,7 @@ def limit_operator(domain: Domain, potential: Potential,
     if potential.is_bounded():
         return assemble(domain, potential), float(potential.bound)
     full = sample(potential, domain)
-    levels = (solver or Solver()).schedule.levels()
+    levels = solver.schedule.levels()
     level = next((k for k in levels if k >= full.max()), levels[-1])
     return _operator_for(domain, np.minimum(full, level)), level
 
@@ -514,7 +516,7 @@ class TruncationDiagnostics:
     saturated: bool  # truncation stopped changing the sampled potential
 
 
-def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver | None = None,
+def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver = Solver(),
          guess: np.ndarray | None = None):
     """The truncation-schedule engine: one pass over the levels k of the
     solver's schedule, yielding (k, operator of min(V, k), solution vector of
@@ -529,7 +531,6 @@ def walk(domain: Domain, potential: Potential, load: np.ndarray, solver: Solver 
     loop: ``solve_truncated_limit`` at its L1 stop rule,
     ``truncation_kernels`` at the first saturated level (or at none).
     """
-    solver = solver or Solver()
     full = sample(potential, domain)
     op, u = None, guess
     for level in solver.schedule.levels():
@@ -549,7 +550,7 @@ def solve_dirichlet(
     potential: Potential,
     measure: Measure,
     operator: DiscreteOperator | None = None,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
 ) -> Field:
     """Single bounded-potential solve; see solve_truncated_limit for singular V."""
     op = operator if operator is not None else assemble(domain, potential)
@@ -562,7 +563,7 @@ def solve_truncated_limit(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     on_level: Callable[[float, np.ndarray | None], None] | None = None,
     guess: np.ndarray | None = None,
 ) -> tuple[Field, TruncationDiagnostics]:
@@ -585,7 +586,7 @@ def solve_truncated_limit(
     key = None
     if domain._operators is not None:
         key = ("walk", sample(potential, domain).tobytes(), load.tobytes(), stop_tol,
-               solver or Solver(), None if guess is None else np.asarray(guess, float).tobytes())
+               solver, None if guess is None else np.asarray(guess, float).tobytes())
         steps = domain._operators.get(key, steps)
     rows, dists = [], []  # rows: (level, u), u kept for the memo only
     last = None

@@ -105,7 +105,7 @@ def representation_check(
     potential: Potential,
     measure: Measure,
     samples=None,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     order: int = 1,
 ) -> VerifyReport:
     """Trace of the solve versus kernel pairing, one case per sampled boundary node.
@@ -121,7 +121,6 @@ def representation_check(
     load = load_vector(measure, domain)  # refuses an infinite measure before any solve
     tv = total_variation(measure, domain)
     idx = resolve_samples(domain, samples)
-    solver = solver or Solver()
     kernels, op, final_level = _adjoint_solve(domain, potential, idx, order, solver)
     u = Field(domain, op.solve_load(load, solver))
     tr = normal_derivative(domain, u, order).values
@@ -158,7 +157,7 @@ def inequality_suite(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     order: int = 1,
 ) -> VerifyReport:
     """Mass-controlled estimate suite with discretization slack (1 + 5h).
@@ -214,7 +213,7 @@ def hopf_check(
     domain: Domain,
     potential: Potential,
     measure: Measure,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     refinements: int = 1,
     order: int = 1,
 ) -> VerifyReport:
@@ -236,13 +235,12 @@ def hopf_check(
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
-    if measure.is_zero():
+    if total_variation(measure, domain) == 0.0:
         raise ValueError("boundary positivity needs a nonzero measure")
     if not is_nonnegative(measure, domain):
         raise ValueError("boundary positivity is stated for nonnegative measures")
     load_vector(measure, domain)  # refuses an infinite measure before any solve
 
-    solver = solver or Solver()
     mask = positivity_set(domain, potential, solver)
     if measure.density is None and measure.atoms:
         outside = []
@@ -318,7 +316,7 @@ def hopf_certificate(
     domain: Domain,
     potential: Potential,
     refinements: int = 2,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
     order: int = 1,
 ) -> VerifyReport:
     """Certificate for boundary positivity: the unit-source zero-potential
@@ -388,7 +386,7 @@ def comparison_check(
     v,
     alpha: float = 0.5,
     epsilon: float | None = None,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
 ) -> VerifyReport:
     """Lower comparison bound: a nonnegative field dominates the solution whose
     source is the concave clipped power of the field itself, for small enough
@@ -412,7 +410,6 @@ def comparison_check(
         raise ValueError("comparison field must be nonnegative")
     shape = np.minimum(np.maximum(vv, 0.0), 1.0) ** alpha
 
-    solver = solver or Solver()
     op, _ = limit_operator(domain, potential, solver)
     zs = op.solve_load(load_vector(density_measure(table_density(shape)), domain), solver)
     peak = float(np.max(zs))
@@ -463,7 +460,7 @@ def energy_check(
     source: Measure,
     n_perturbations: int = 100,
     seed: int = 0,
-    solver: Solver | None = None,
+    solver: Solver = Solver(),
 ) -> VerifyReport:
     """The solve minimizes the quadratic energy: random perturbations only
     increase it.  Density sources only; the base energy and every

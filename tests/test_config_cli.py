@@ -32,6 +32,15 @@ def write(tmp_path, text, name="run.cfg"):
     return str(p)
 
 
+def set_stl_env(monkeypatch, env):
+    """Make ``env`` the only STL_ variables of the process environment."""
+    for name in list(os.environ):
+        if name.startswith("STL_"):
+            monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
 def read_csv(path):
     with open(path) as fh:
         first = fh.readline().strip()
@@ -133,12 +142,12 @@ def test_every_key_rejects_invalid_values(key):
 
 
 @pytest.mark.parametrize("key", KEYS.values(), ids=list(KEYS))
-def test_every_key_env_and_file_agree(key):
+def test_every_key_env_and_file_agree(key, monkeypatch):
     text = _valid_text(key)
     context = CONTEXT.get(key.name, [])
     from_file = config_from_pairs(context + parse_config_text(f"{key.name} = {text}\n"))
-    env_name = "STL_" + key.name.replace(".", "_").upper()
-    from_env = config_from_pairs(context + env_overrides({env_name: text}))
+    set_stl_env(monkeypatch, {"STL_" + key.name.replace(".", "_").upper(): text})
+    from_env = config_from_pairs(context + env_overrides())
     assert from_file == from_env
     if key.name == "measure.atom":
         assert from_file.atoms == (key.parse(text),)
@@ -186,18 +195,18 @@ def test_config_atom_dimension_checked():
         config_from_pairs([("measure.atom", "0.1,0.2,1.0")])
 
 
-def test_env_overrides():
-    env = {"STL_DOMAIN_N": "32", "STL_SOLVER_TOL": "1e-9", "PATH": "/bin"}
-    pairs = env_overrides(env)
-    assert ("domain.n", "32") in pairs
-    assert ("solver.tol", "1e-9") in pairs
+def test_env_overrides(monkeypatch):
+    set_stl_env(monkeypatch, {"STL_DOMAIN_N": "32", "STL_SOLVER_TOL": "1e-9"})
+    assert env_overrides() == [("domain.n", "32"), ("solver.tol", "1e-9")]
+    set_stl_env(monkeypatch, {"STL_NOT_A_KEY": "1"})
     with pytest.raises(ConfigError, match="STL_NOT_A_KEY"):
-        env_overrides({"STL_NOT_A_KEY": "1"})
+        env_overrides()
 
 
-def test_load_config_env_wins(tmp_path):
+def test_load_config_env_wins(tmp_path, monkeypatch):
     path = write(tmp_path, "domain.kind = interval\ndomain.n = 64\n")
-    cfg = load_config(path, environ={"STL_DOMAIN_N": "16"})
+    set_stl_env(monkeypatch, {"STL_DOMAIN_N": "16"})
+    cfg = load_config(path)
     assert cfg.params("domain.resolution") == {"n": 16}
 
 
@@ -380,6 +389,23 @@ def test_cli_study_reports_refinement_table(tmp_path):
     # sits at the solver floor and the observed order has no finite value: null
     assert report["at_solver_floor"] is True
     assert report["observed_order"] is None
+
+
+@pytest.mark.parametrize("check,extra,levels", [
+    ("hopf", "potential.family = power_distance\nmeasure.atom = 0.5,1\n", [1024, 4096]),
+    ("comparison", "potential.family = power_distance\n", [0, 0]),
+    ("hopf_certificate", "potential.family = power_distance\n", [0, 0]),
+    ("energy", "potential.family = constant\nmeasure.density = uniform\n", [0, 0]),
+])
+def test_cli_study_level_column(tmp_path, check, extra, levels):
+    # hopf reports no final_level: its k is the level of its table's last row;
+    # a check with neither writes 0
+    cfg = write(tmp_path, f"domain.kind = interval\ndomain.n = 32\n{extra}"
+                          f"checks = {check}\nstudy.levels = 2\n")
+    out = tmp_path / "s"
+    assert main(["study", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "study.csv")
+    assert [float(r[1]) for r in rows[1:]] == levels
 
 
 def test_cli_study_builds_each_grid_after_the_previous_check(tmp_path, monkeypatch):

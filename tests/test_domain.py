@@ -196,6 +196,16 @@ def test_interp_weights_partition_of_unity_disk(px, py):
     assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_disk_interp_outermost_cell_uses_the_last_ring():
+    # between the last interior ring (r = 7/8) and the boundary an atom
+    # deposits on that ring alone
+    d = build_disk(8)
+    nodes, w = d.interp_weights(0.95 * np.array([np.cos(0.3), np.sin(0.3)]))
+    nt = d.resolution["ntheta"]
+    assert set((1 + (nodes - 1) // nt).tolist()) == {7}
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_contains():
     d = build_rectangle(8)
     assert d.contains(np.array([0.4, 0.6]))

@@ -242,6 +242,14 @@ def test_degeneracy_flag_fires_under_overwhelming_absorption(interval64):
     assert all(ks.degenerate)
     benign = kernel_set(interval64, constant_potential(1.0))
     assert not any(benign.degenerate)
+    # without a reference the set's largest kernel norm is the yardstick
+    d = build_interval(16)
+    v = np.zeros(d.n_interior)
+    v[:3] = 1e14
+    lopsided = kernel_set(d, table_potential(v), with_reference=False)
+    assert lopsided.degenerate.tolist() == [True, False]
+    flat = kernel_set(d, table_potential(np.zeros(d.n_interior)), with_reference=False)
+    assert flat.degenerate.tolist() == [False, False]
 
 
 def test_kernels_are_discrete_subsolutions(interval64):
@@ -324,7 +332,7 @@ def test_operator_scope_shares_adjoint_kernels(adjoint_solves):
 ], ids=["samples", "order", "tol", "schedule", "alpha"])
 def test_adjoint_memo_misses_on_any_changed_input(adjoint_solves, change):
     d = build_disk(8)
-    args = {"potential": MEMO_POTENTIAL, "samples": None, "solver": None, "order": 1}
+    args = {"potential": MEMO_POTENTIAL, "samples": None, "solver": Solver(), "order": 1}
     changed = {**args, **change(d)}
     with cached_operators(d):
         kernel_set(d, with_reference=False, **args)
@@ -357,7 +365,7 @@ def test_kernels_outside_a_scope_are_read_only_and_not_kept(adjoint_solves):
     assert second is not first and second.tobytes() == first.tobytes()
 
 
-def _last_solved_level(d, pot, solver=None):
+def _last_solved_level(d, pot, solver=Solver()):
     """The last level a walk solves, and every node's kernel solved afresh there."""
     load = trace_sources(d, [0])[:, 0]
     level = [k for k, _, u in walk(d, pot, load, solver) if u is not None][-1]
@@ -365,7 +373,7 @@ def _last_solved_level(d, pot, solver=None):
     return level, op.solve_load(trace_sources(d), solver)
 
 
-def _limit_solves(d, pot, solver=None):
+def _limit_solves(d, pot, solver=Solver()):
     """(load, solution) of every solve that positivity_set and comparison_check
     make on a fresh grid, the comparison field being node 0's kernel."""
     v = duality_kernel(d, pot, 0, solver)
@@ -384,7 +392,7 @@ def _limit_solves(d, pot, solver=None):
     return solves
 
 
-def _assert_walks_last_level(d, pot, solves, solver=None):
+def _assert_walks_last_level(d, pot, solves, solver=Solver()):
     """Each solution equals the last solution a walk of its load yields."""
     assert len(solves) == 2
     for load, u in solves:

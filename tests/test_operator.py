@@ -719,6 +719,27 @@ def test_cached_solve_outside_a_walk_factors_its_operator(factorizations, monkey
     assert pcg == []
 
 
+def test_nested_operator_scope_joins_its_parent(factorizations):
+    # an inner scope on the same grid used to open a fresh cache and leave
+    # none behind: its operator was factored again, and the rest of the
+    # outer block ran uncached
+    calls, _ = factorizations
+    d = build_disk(8)
+    pot = power_distance_potential(1.5)
+    load = load_vector(dirac([0.2, -0.1]), d)
+    with cached_operators(d):
+        op, _ = limit_operator(d, pot)
+        op.solve_load(load)
+        with cached_operators(d):
+            inner, _ = limit_operator(d, pot)
+            inner.solve_load(load)
+        after, _ = limit_operator(d, pot)
+        assert inner is op and after is op
+        assert d._operators is not None
+    assert d._operators is None
+    assert len(calls) == 1
+
+
 def test_walk_solves_every_level_through_solve_load(monkeypatch):
     solves = []
     real_solve = DiscreteOperator.solve_load

@@ -93,6 +93,14 @@ def test_representation_atomic_measure_can_fail(monkeypatch, potential):
     assert not representation_check(d, potential, mu).passed
 
 
+def test_representation_atom_in_the_disks_outermost_cell():
+    # the atom deposits on the last interior ring alone (see test_domain)
+    d = build_disk(8)
+    atom = dirac(0.95 * np.array([np.cos(0.3), np.sin(0.3)]))
+    rep = representation_check(d, power_distance_potential(1.5), atom)
+    assert rep.passed and rep.details["max_residual"] <= 1e-13
+
+
 def test_representation_rejects_infinite_measure():
     # power-distance density with alpha >= 1 has infinite mass on the interval
     d = build_interval(32)
@@ -193,9 +201,23 @@ def test_hopf_disk_symmetric_case():
     assert rep.passed
 
 
+@pytest.mark.parametrize("measure", [
+    Measure(), dirac([0.5], 0.0), density_measure(uniform_density(0.0)),
+], ids=["empty", "zero_atom", "zero_density"])
+def test_hopf_rejects_a_measure_without_mass(interval64, measure):
+    # a zero-weight atom or density used to run and read "inconclusive"
+    with pytest.raises(ValueError, match="nonzero measure"):
+        hopf_check(interval64, power_distance_potential(1.5), measure)
+
+
+def test_cli_hopf_without_mass_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "domain.kind = interval\ndomain.n = 32\n"
+                          "potential.family = power_distance\nmeasure.atom = 0.5,0\nchecks = hopf\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "nonzero measure" in capsys.readouterr().err
+
+
 def test_hopf_rejects_bad_measures(interval64):
-    with pytest.raises(ValueError):
-        hopf_check(interval64, zero_potential(), Measure())
     with pytest.raises(ValueError):
         hopf_check(interval64, zero_potential(), dirac([0.3]) + dirac([0.6], -1.0))
 
